@@ -285,8 +285,6 @@ def _measure_memsys(matrix_stats) -> dict:
         "l2_hit_rate": round(sum(s.l2_hits for s in matrix_stats)
                              / l2_refs, 4),
         "invalidations": sum(s.invalidations for s in matrix_stats),
-        "fastpath_epoch_bumps": sum(s.fastpath_epoch_bumps
-                                    for s in matrix_stats),
         "per_access_ns": {
             "config": f"{app} x{n_cores} {scheme.value}",
             "slow_path": round(slow_ns, 1),

@@ -1,18 +1,21 @@
-"""RL006 — fast-path invalidation discipline: no cache pokes outside
+"""RL006 — residency discipline: no cache pokes outside
 ``coherence``/``mem``.
 
 The memory-system fast path (``Machine._advance_main`` with
 ``REPRO_FASTPATH`` on) services provable private hits against the
-caches' residency maps without entering the coherence engine.  Its
-correctness rests on one discipline: **every event that can change a
-line's hit status funnels through the engine** — eviction and
-invalidation inside :class:`~repro.coherence.protocol.CoherenceEngine`,
-interval advances through :meth:`CoherenceEngine.fastpath_epoch` (which
-fires the scheme's ``on_fastpath_epoch`` hook).  A scheme that reaches
-into ``engine.l2s[pid]`` and invalidates a line directly, or flips a
-``CacheLine``/``DirEntry`` field in place, mutates residency behind the
-filter's back; the stats would silently diverge between the fast and
-slow paths.
+caches' own direct maps (``Cache._map``, ``L1Cache._map``) without
+entering the coherence engine.  Those maps are maintained in place by
+the caches, so they cannot go stale; what the fast path relies on is
+one discipline: **cache-line and directory state changes only inside
+the ``coherence`` and ``mem`` packages** — eviction, invalidation,
+downgrade, delayed-writeback marking and draining, rollback
+invalidation, all in :class:`~repro.coherence.protocol.CoherenceEngine`
+and the caches.  A scheme that reaches into ``engine.l2s[pid]`` and
+invalidates a line directly, or flips a ``CacheLine``/``DirEntry``
+field in place, bypasses the engine's bookkeeping (writebacks, log,
+directory, counters) for that transition; the stats would silently
+diverge from what the protocol would have produced, and the fast path
+would service hits the slow path would not.
 
 This rule bans, everywhere outside the ``coherence`` and ``mem``
 packages (the engine and the caches themselves):
@@ -28,8 +31,10 @@ packages (the engine and the caches themselves):
 
 Mutations through a bare local (``line.value = v`` after the engine
 handed the line out) stay legal: the engine-side call that produced the
-local is the audited entry point.  Schemes react to residency changes
-in ``on_fastpath_epoch`` instead of poking cache internals.
+local is the audited entry point.  Schemes change residency through the
+engine's services (``checkpoint_writeback``, ``mark_delayed``,
+``complete_delayed``, ``invalidate_core``) instead of poking cache
+internals.
 """
 
 from __future__ import annotations
@@ -73,9 +78,9 @@ class _CachePokeVisitor(ast.NodeVisitor):
         self.findings.append(Finding(
             self.ctx.relpath, lineno, "RL006",
             f"{what}; cache-line and directory state is mutated only "
-            f"inside coherence/mem — residency changes must funnel "
-            f"through CoherenceEngine.fastpath_epoch (schemes react in "
-            f"on_fastpath_epoch) or the fast-path filters go stale"))
+            f"inside coherence/mem — schemes change residency through "
+            f"the CoherenceEngine services, or the fast path serves "
+            f"hits the protocol never granted"))
 
     def _check_target(self, target: ast.expr, verb: str) -> None:
         if (isinstance(target, ast.Attribute)

@@ -58,15 +58,33 @@ class Directory:
     protocol's round-trip constants.
     """
 
-    __slots__ = ("n_cores", "_entries", "lookups")
+    __slots__ = ("n_cores", "_entries")
 
     def __init__(self, n_cores: int):
         self.n_cores = n_cores
         self._entries: dict[int, DirEntry] = {}
-        self.lookups = 0
+
+    def __deepcopy__(self, memo: dict) -> "Directory":
+        """Structural copy (``Machine.fork``): fresh entries, each
+        registered in ``memo``."""
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.n_cores = self.n_cores
+        new_entry = DirEntry.__new__
+        entries = {}
+        for addr, entry in self._entries.items():
+            twin = new_entry(DirEntry)
+            twin.addr = addr
+            twin.mode = entry.mode
+            twin.owner = entry.owner
+            twin.sharers = entry.sharers
+            twin.lw_id = entry.lw_id
+            entries[addr] = twin
+            memo[id(entry)] = twin
+        clone._entries = entries
+        return clone
 
     def entry(self, addr: int) -> DirEntry:
-        self.lookups += 1
         entry = self._entries.get(addr)
         if entry is None:
             entry = DirEntry(addr)

@@ -24,10 +24,8 @@ Flows implemented (Figure 3.2a):
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from repro.coherence.directory import Directory, EXCL, SHARED, UNCACHED
-from repro.interconnect import Interconnect, MessageClass
+from repro.coherence.directory import DirEntry, Directory, EXCL, SHARED
+from repro.interconnect import Interconnect
 from repro.mem import (
     Cache,
     EXCLUSIVE,
@@ -52,17 +50,19 @@ class DependenceTracker:
     def on_write(self, pid: int, addr: int) -> None:
         """A store or exclusive grant: add ``addr`` to pid's WSIG."""
 
-    def record_producer(self, consumer: int, producer: int) -> None:
-        """Consumer optimistically sets MyProducers[producer]."""
+    def on_dependence(self, consumer: int, producer: int, addr: int
+                      ) -> bool:
+        """A line whose LW-ID names ``producer`` reached ``consumer``.
 
-    def query_writer(self, pid: int, addr: int) -> tuple[bool, bool]:
-        """'Are you the last writer of addr?' -> (claims, genuine)."""
-        return False, False
-
-    def record_consumer(self, producer: int, consumer: int, addr: int,
-                        genuine: bool) -> None:
-        """Producer sets MyConsumers[consumer] (``genuine``=False on a
-        Bloom false positive; tracked for the Table 6.1 statistic)."""
+        The consumer sets MyProducers[producer] as the line arrives,
+        before any NO_WR could revert it (superset semantics, Section
+        3.3.2).  The producer then answers "are you the last writer of
+        ``addr``?" from its WSIGs and, if it claims the write, sets
+        MyConsumers[consumer] in the matching interval.  Returns the
+        claim; False is a NO_WR.  Called only while :attr:`enabled` and
+        with ``producer != consumer``.
+        """
+        return False
 
     def on_line_left_cache(self, pid: int, addr: int, now: float) -> None:
         """A Delayed/dirty line left pid's L2 via coherence activity."""
@@ -75,17 +75,6 @@ class DependenceTracker:
         """Interval owning pid's Delayed lines (the one being drained)."""
         return self.interval_of(pid)
 
-    def on_fastpath_epoch(self, pid: int) -> None:
-        """``pid``'s fast-path residency epoch advanced.
-
-        Fired (via :meth:`CoherenceEngine.fastpath_epoch`) on every event
-        that can change a line's provable-hit status for ``pid`` —
-        eviction, invalidation, downgrade, checkpoint-interval advance
-        (WSIG epoch), delayed-writeback activity, rollback.  Schemes that
-        cache per-interval residency assumptions override this one hook
-        instead of poking cache internals; the default tracks nothing.
-        """
-
 
 class CoherenceEngine:
     """Executes loads, stores, writebacks and invalidations.
@@ -97,6 +86,10 @@ class CoherenceEngine:
     class) rather than a ``Counter``: the dict-keyed ``+=`` was a
     measurable fraction of every miss.  :meth:`energy_events` rebuilds
     the historical mapping for :class:`~repro.sim.stats.SimStats`.
+
+    The access paths probe the caches' direct maps, the directory's
+    entry map and the network's counters in place rather than through
+    their accessor methods: a miss is the simulator's hottest slow path.
     """
 
     __slots__ = (
@@ -104,7 +97,7 @@ class CoherenceEngine:
         "l1s", "l2s",
         "energy_l1", "energy_l2", "energy_dir", "energy_dram", "energy_log",
         "energy_wsig", "energy_depreg",
-        "fast_loads", "fast_stores", "fastpath_epochs",
+        "fast_loads", "fast_stores",
         "ckpt_wait", "invalidations_sent", "forced_delayed_writebacks",
         "golden",
     )
@@ -134,9 +127,6 @@ class CoherenceEngine:
         # invariant under REPRO_FASTPATH.
         self.fast_loads = 0
         self.fast_stores = 0
-        # Per-core residency-filter epochs: bumped on every event that
-        # can change a line's provable-hit status (see fastpath_epoch).
-        self.fastpath_epochs = [0] * config.n_cores
         # Demand-wait cycles caused by checkpoint traffic, per core
         # (feeds the IPCDelay category of Figure 6.5).
         self.ckpt_wait = [0.0] * config.n_cores
@@ -165,22 +155,8 @@ class CoherenceEngine:
         return events
 
     # ------------------------------------------------------------------
-    # fast-path residency services
+    # fast-path counter folding
     # ------------------------------------------------------------------
-    def fastpath_epoch(self, pid: int) -> None:
-        """Advance ``pid``'s residency-filter epoch.
-
-        The single funnel for every event that can change a line's
-        provable-hit status for ``pid`` — eviction, invalidation,
-        downgrade, delayed-writeback activity, checkpoint-interval
-        advance, rollback.  Fires the scheme's
-        :meth:`DependenceTracker.on_fastpath_epoch` hook; fired
-        identically whether the fast path is on or off, so the epoch
-        totals are mode-invariant.
-        """
-        self.fastpath_epochs[pid] += 1
-        self.tracker.on_fastpath_epoch(pid)
-
     def flush_fastpath(self, l1_loads: list, l2_loads: list,
                        stores: list) -> None:
         """Fold batched per-core fast-path counters into the aggregates.
@@ -230,30 +206,24 @@ class CoherenceEngine:
     # ------------------------------------------------------------------
     # dependence recording
     # ------------------------------------------------------------------
-    def _handle_dependence(self, entry, consumer: int, now: float,
-                           piggybacked: bool) -> None:
-        """Record producer->consumer through LW-ID (Figure 3.2a)."""
-        producer = entry.lw_id
-        if producer is None or producer == consumer:
-            return
-        if not self.tracker.enabled:
-            return
-        # The consumer's MyProducers is updated as the line arrives, before
-        # any NO_WR could revert it (superset semantics, Section 3.3.2).
-        self.tracker.record_producer(consumer, producer)
-        self.energy_depreg += 1
-        claims, genuine = self.tracker.query_writer(producer, entry.addr)
-        self.energy_wsig += 1
+    def _dependence(self, entry, producer: int, consumer: int,
+                    piggybacked: bool) -> None:
+        """Record producer->consumer through LW-ID (Figure 3.2a).
+
+        Called only while the tracker is enabled and LW-ID names a core
+        other than the requester.
+        """
+        network = self.network
         if not piggybacked:
             # Dedicated "are you the last writer?" query + reply.
-            self.network.send(MessageClass.DEP, 2)
-        if claims:
-            self.tracker.record_consumer(producer, consumer, entry.addr,
-                                         genuine)
-            self.energy_depreg += 1
+            network.dep_messages += 2
+        self.energy_wsig += 1
+        if self.tracker.on_dependence(consumer, producer, entry.addr):
+            self.energy_depreg += 2      # MyProducers + MyConsumers
         else:
             # NO_WR: tell the directory to clear the stale LW-ID.
-            self.network.send(MessageClass.DEP, 1)
+            self.energy_depreg += 1      # MyProducers only
+            network.dep_messages += 1
             entry.lw_id = None
 
     def _stamp_writer(self, entry, pid: int) -> None:
@@ -262,62 +232,72 @@ class CoherenceEngine:
             self.tracker.on_write(pid, entry.addr)
             self.energy_wsig += 1
 
+    def _home_entry(self, addr: int) -> DirEntry:
+        """The directory entry of ``addr``, created on first touch."""
+        entries = self.directory._entries
+        entry = entries.get(addr)
+        if entry is None:
+            entry = entries[addr] = DirEntry(addr)
+        self.energy_dir += 1
+        self.network.base_messages += 2  # request + response
+        return entry
+
     # ------------------------------------------------------------------
     # internal helpers
     # ------------------------------------------------------------------
     def _evict(self, pid: int, victim, now: float) -> None:
         """Handle an L2 victim: write back if dirty, update directory."""
-        self.fastpath_epoch(pid)
-        self.l1s[pid].invalidate(victim.addr)  # inclusion
-        interval = self.tracker.interval_of(pid)
+        addr = victim.addr
+        self.l1s[pid].invalidate(addr)  # inclusion
+        tracker = self.tracker
         if victim.delayed:
-            interval = self.tracker.delayed_interval_of(pid)
-            self.tracker.on_line_left_cache(pid, victim.addr, now)
+            interval = tracker.delayed_interval_of(pid)
+            tracker.on_line_left_cache(pid, addr, now)
             self.forced_delayed_writebacks += 1
+        elif victim.dirty:
+            interval = tracker.interval_of(pid)
         if victim.dirty:
             # Dirty displacement between checkpoints: the memory controller
             # logs the old value (Section 3.3.3).
-            self.channels.writeback(now, victim.addr, logged=True,
+            self.channels.writeback(now, addr, logged=True,
                                     checkpoint=False)
-            self.memory.writeback(now, pid, victim.addr, victim.value,
-                                  interval)
+            self.memory.writeback(now, pid, addr, victim.value, interval)
             self.energy_dram += 2
             self.energy_log += 1
-            self.network.send(MessageClass.BASE, 1)
-        else:
-            self.network.send(MessageClass.BASE, 1)  # PUTS notification
-        self.directory.evict_copy(victim.addr, pid)
+        self.network.base_messages += 1  # writeback or PUTS notification
+        self.directory.evict_copy(addr, pid)
         self.energy_dir += 1
 
     def _install(self, pid: int, addr: int, state: int, value: int,
-                 now: float):
-        line, victim = self.l2s[pid].insert(addr, state, value)
+                 now: float) -> None:
+        _, victim = self.l2s[pid].insert(addr, state, value)
         if victim is not None:
             self._evict(pid, victim, now)
         self.l1s[pid].fill(addr)
-        return line
 
     def _invalidate_sharers(self, entry, keep: int, now: float) -> int:
         """Invalidate all sharers except ``keep``; returns count."""
+        addr = entry.addr
+        l1s = self.l1s
+        l2s = self.l2s
         count = 0
         for sharer in entry.sharer_list():
             if sharer == keep:
                 continue
-            self.fastpath_epoch(sharer)
-            line = self.l2s[sharer].invalidate(entry.addr)
-            self.l1s[sharer].invalidate(entry.addr)
+            line = l2s[sharer].invalidate(addr)
+            l1s[sharer].invalidate(addr)
             if line is not None and line.delayed:
                 # The checkpointed copy must reach memory before the line
                 # leaves the cache (Section 4.1).
-                self.channels.writeback(now, entry.addr, logged=True,
+                self.channels.writeback(now, addr, logged=True,
                                         checkpoint=True)
                 self.memory.writeback(
-                    now, sharer, entry.addr, line.value,
+                    now, sharer, addr, line.value,
                     self.tracker.delayed_interval_of(sharer))
-                self.tracker.on_line_left_cache(sharer, entry.addr, now)
+                self.tracker.on_line_left_cache(sharer, addr, now)
                 self.forced_delayed_writebacks += 1
             count += 1
-        self.network.send(MessageClass.BASE, 2 * count)  # inval + ack
+        self.network.base_messages += 2 * count  # inval + ack
         self.invalidations_sent += count
         entry.sharers = 0
         return count
@@ -326,18 +306,18 @@ class CoherenceEngine:
                           downgrade_to_shared: bool) -> int:
         """Serve a miss from the exclusive owner's L2; returns the value."""
         owner = entry.owner
-        self.fastpath_epoch(owner)  # downgrade or invalidation below
-        oline = self.l2s[owner].peek(entry.addr)
+        addr = entry.addr
+        oline = self.l2s[owner]._map.get(addr)
         assert oline is not None, "directory owner lost the line"
         value = oline.value
         self.energy_l2 += 1
         if oline.delayed:
             # Forced early writeback of a Delayed line (Section 4.1).
-            self.channels.writeback(now, entry.addr, logged=True,
+            self.channels.writeback(now, addr, logged=True,
                                     checkpoint=True)
-            self.memory.writeback(now, owner, entry.addr, oline.value,
+            self.memory.writeback(now, owner, addr, value,
                                   self.tracker.delayed_interval_of(owner))
-            self.tracker.on_line_left_cache(owner, entry.addr, now)
+            self.tracker.on_line_left_cache(owner, addr, now)
             self.forced_delayed_writebacks += 1
             oline.delayed = False
             oline.dirty = False
@@ -346,9 +326,9 @@ class CoherenceEngine:
             if oline.dirty:
                 # Sharing writeback: memory picks up the dirty data (and
                 # the controller logs the old value).
-                self.channels.writeback(now, entry.addr, logged=True,
+                self.channels.writeback(now, addr, logged=True,
                                         checkpoint=False)
-                self.memory.writeback(now, owner, entry.addr, oline.value,
+                self.memory.writeback(now, owner, addr, value,
                                       self.tracker.interval_of(owner))
                 self.energy_dram += 2
                 self.energy_log += 1
@@ -359,10 +339,10 @@ class CoherenceEngine:
             entry.owner = None
         else:
             # Dirty (or clean-exclusive) transfer; owner invalidated.
-            self.l2s[owner].invalidate(entry.addr)
-            self.l1s[owner].invalidate(entry.addr)
+            self.l2s[owner].invalidate(addr)
+            self.l1s[owner].invalidate(addr)
             entry.owner = pid
-        self.network.send(MessageClass.BASE, 2)  # forward + data
+        self.network.base_messages += 2  # forward + data
         return value
 
     # ------------------------------------------------------------------
@@ -372,38 +352,49 @@ class CoherenceEngine:
         """Execute a load; returns its latency in cycles."""
         config = self.config
         self.energy_l1 += 1
-        if self.l1s[pid].contains(addr):
+        l1 = self.l1s[pid]
+        cset = l1._map.get(addr)
+        if cset is not None:
             # Fast-path-eligible: counted here so the total is invariant
             # under REPRO_FASTPATH (the inline fast path batches the
             # same bump and the engine is then never entered).
+            cset.move_to_end(addr)
+            l1.n_hits += 1
             self.fast_loads += 1
             if config.check_coherence:
-                resident = self.l2s[pid].peek(addr)
+                resident = self.l2s[pid]._map.get(addr)
                 assert resident is not None, "L1/L2 inclusion violated"
                 self._check_load(addr, resident.value)
             return config.l1.hit_cycles
+        l1.n_misses += 1
         self.energy_l2 += 1
-        line = self.l2s[pid].lookup(addr)
+        l2 = self.l2s[pid]
+        line = l2._map.get(addr)
         if line is not None:
             # Fast-path-eligible too (any resident line): counted here
             # so the total is invariant under REPRO_FASTPATH.
+            l2._sets[addr % l2.n_sets].move_to_end(addr)
+            l2.n_hits += 1
             self.fast_loads += 1
-            self.l1s[pid].fill(addr)
+            l1.fill(addr)
             self._check_load(addr, line.value)
             return config.l2.hit_cycles
+        l2.n_misses += 1
         # L2 miss -> home directory.
-        entry = self.directory.entry(addr)
-        self.energy_dir += 1
-        self.network.send(MessageClass.BASE, 2)  # request + response
+        entry = self._home_entry(addr)
         latency = float(config.l2.hit_cycles)
-        if entry.mode == EXCL and entry.owner != pid:
-            self._handle_dependence(entry, pid, now, piggybacked=True)
+        remote = entry.mode == EXCL and entry.owner != pid
+        producer = entry.lw_id
+        if (producer is not None and producer != pid
+                and self.tracker.enabled):
+            # A remote owner piggybacks the dependence on the forward.
+            self._dependence(entry, producer, pid, piggybacked=remote)
+        if remote:
             value = self._fetch_from_owner(entry, pid, now,
                                            downgrade_to_shared=True)
             latency += config.remote_l2_cycles
             self._install(pid, addr, L_SHARED, value, now)
         elif entry.mode == SHARED:
-            self._handle_dependence(entry, pid, now, piggybacked=False)
             extra, ckpt_wait = self.channels.demand_access(now, addr)
             self.ckpt_wait[pid] += ckpt_wait
             latency += config.memory_cycles + extra
@@ -412,7 +403,6 @@ class CoherenceEngine:
             entry.sharers |= 1 << pid
             self._install(pid, addr, L_SHARED, value, now)
         else:  # UNCACHED -> RDX: grant Exclusive, stamp LW-ID (Fig 3.2a)
-            self._handle_dependence(entry, pid, now, piggybacked=False)
             extra, ckpt_wait = self.channels.demand_access(now, addr)
             self.ckpt_wait[pid] += ckpt_wait
             latency += config.memory_cycles + extra
@@ -433,36 +423,46 @@ class CoherenceEngine:
             self.golden[addr] = value
         self.energy_l1 += 1
         self.energy_l2 += 1
-        line = self.l2s[pid].lookup(addr)
+        l2 = self.l2s[pid]
+        line = l2._map.get(addr)
         latency = float(config.l2.hit_cycles)
-        if line is not None and line.state == MODIFIED:
-            if line.delayed:
-                latency += self._force_delayed_writeback(pid, line, now)
+        if line is not None:
+            l2._sets[addr % l2.n_sets].move_to_end(addr)
+            l2.n_hits += 1
+            if line.state == MODIFIED:
+                if line.delayed:
+                    latency += self._force_delayed_writeback(pid, line, now)
+                    line.value = value
+                    return latency
+                # Fast-path-eligible (MODIFIED, not Delayed): counted here
+                # so the total is invariant under REPRO_FASTPATH.
+                self.fast_stores += 1
                 line.value = value
                 return latency
-            # Fast-path-eligible (MODIFIED, not Delayed): counted here so
-            # the total is invariant under REPRO_FASTPATH.
-            self.fast_stores += 1
-            line.value = value
-            return latency
-        if line is not None and line.state == EXCLUSIVE:
-            # Silent E -> M upgrade: no directory traffic; LW-ID was
-            # already stamped at the exclusive grant (RDX semantics).
-            if line.delayed:
-                latency += self._force_delayed_writeback(pid, line, now)
-            line.state = MODIFIED
-            line.dirty = True
-            line.value = value
-            if self.tracker.enabled:
-                self.tracker.on_write(pid, addr)
-                self.energy_wsig += 1
-            return latency
-        entry = self.directory.entry(addr)
-        self.energy_dir += 1
-        self.network.send(MessageClass.BASE, 2)
-        if line is not None and line.state == L_SHARED:
-            # Upgrade: invalidate the other sharers.
-            self._handle_dependence(entry, pid, now, piggybacked=False)
+            if line.state == EXCLUSIVE:
+                # Silent E -> M upgrade: no directory traffic; LW-ID was
+                # already stamped at the exclusive grant (RDX semantics).
+                if line.delayed:
+                    latency += self._force_delayed_writeback(pid, line, now)
+                line.state = MODIFIED
+                line.dirty = True
+                line.value = value
+                if self.tracker.enabled:
+                    self.tracker.on_write(pid, addr)
+                    self.energy_wsig += 1
+                return latency
+        else:
+            l2.n_misses += 1
+        entry = self._home_entry(addr)
+        remote = (line is None and entry.mode == EXCL
+                  and entry.owner != pid)
+        producer = entry.lw_id
+        if (producer is not None and producer != pid
+                and self.tracker.enabled):
+            # A remote owner piggybacks the dependence on the forward.
+            self._dependence(entry, producer, pid, piggybacked=remote)
+        if line is not None:
+            # Upgrade of a SHARED copy: invalidate the other sharers.
             self._invalidate_sharers(entry, keep=pid, now=now)
             entry.mode = EXCL
             entry.owner = pid
@@ -473,19 +473,12 @@ class CoherenceEngine:
             self._stamp_writer(entry, pid)
             return latency
         # Full write miss.
-        if entry.mode == EXCL and entry.owner != pid:
-            self._handle_dependence(entry, pid, now, piggybacked=True)
+        if remote:
             self._fetch_from_owner(entry, pid, now, downgrade_to_shared=False)
             latency += config.remote_l2_cycles
-        elif entry.mode == SHARED:
-            self._handle_dependence(entry, pid, now, piggybacked=False)
-            self._invalidate_sharers(entry, keep=pid, now=now)
-            extra, ckpt_wait = self.channels.demand_access(now, addr)
-            self.ckpt_wait[pid] += ckpt_wait
-            latency += config.memory_cycles + extra
-            self.energy_dram += 1
         else:
-            self._handle_dependence(entry, pid, now, piggybacked=False)
+            if entry.mode == SHARED:
+                self._invalidate_sharers(entry, keep=pid, now=now)
             extra, ckpt_wait = self.channels.demand_access(now, addr)
             self.ckpt_wait[pid] += ckpt_wait
             latency += config.memory_cycles + extra
@@ -503,7 +496,6 @@ class CoherenceEngine:
         The flush takes the priority path (the store is on the critical
         path); the stall is checkpoint-induced, so it feeds IPCDelay.
         """
-        self.fastpath_epoch(pid)
         done = self.channels.priority_writeback(now, line.addr)
         self.memory.writeback(now, pid, line.addr, line.value,
                               self.tracker.delayed_interval_of(pid))
@@ -528,31 +520,30 @@ class CoherenceEngine:
         Lines stay cached clean (state M -> E); returns ``(completion
         time, n_lines)``.
         """
-        self.fastpath_epoch(pid)
         dirty = self.l2s[pid].dirty_lines()
         interval = self.tracker.interval_of(pid)
+        channels = self.channels
+        memory = self.memory
         done = now
         for line in dirty:
-            done = max(done, self.channels.writeback(now, line.addr,
-                                                     logged=True,
-                                                     checkpoint=True))
-            self.memory.writeback(now, pid, line.addr, line.value, interval)
-            self.energy_dram += 2
-            self.energy_log += 1
+            done = max(done, channels.writeback(now, line.addr,
+                                                logged=True,
+                                                checkpoint=True))
+            memory.writeback(now, pid, line.addr, line.value, interval)
             line.dirty = False
             line.delayed = False
             if line.state == MODIFIED:
                 line.state = EXCLUSIVE
+        self.energy_dram += 2 * len(dirty)
+        self.energy_log += len(dirty)
         return done, len(dirty)
 
     def mark_delayed(self, pid: int) -> int:
         """Set the Delayed bit on all dirty lines (Section 4.1 start)."""
-        self.fastpath_epoch(pid)
-        count = 0
-        for line in self.l2s[pid].dirty_lines():
+        dirty = self.l2s[pid].dirty_lines()
+        for line in dirty:
             line.delayed = True
-            count += 1
-        return count
+        return len(dirty)
 
     def complete_delayed(self, pid: int, now: float, interval: int) -> int:
         """Drain every still-Delayed line of ``pid`` to memory.
@@ -561,24 +552,20 @@ class CoherenceEngine:
         the scheme (background traffic); here we move the data and log it
         tagged with the checkpointed ``interval`` that produced it.
         """
-        self.fastpath_epoch(pid)
-        count = 0
-        for line in list(self.l2s[pid].lines()):
-            if not line.delayed:
-                continue
-            self.memory.writeback(now, pid, line.addr, line.value, interval)
-            self.energy_dram += 2
-            self.energy_log += 1
+        delayed = self.l2s[pid].delayed_lines()
+        memory = self.memory
+        for line in delayed:
+            memory.writeback(now, pid, line.addr, line.value, interval)
             line.delayed = False
             line.dirty = False
             if line.state == MODIFIED:
                 line.state = EXCLUSIVE
-            count += 1
-        return count
+        self.energy_dram += 2 * len(delayed)
+        self.energy_log += len(delayed)
+        return len(delayed)
 
     def invalidate_core(self, pid: int) -> int:
         """Flash-invalidate both cache levels of ``pid`` (rollback)."""
-        self.fastpath_epoch(pid)
         if self.config.check_coherence:
             # Dirty data discarded by the invalidation reverts the golden
             # image to whatever memory holds (the log undo that follows

@@ -53,7 +53,6 @@ class GlobalScheme(BaseScheme):
         return self.epochs[pid]
 
     def _rotate(self, pid: int, now: float) -> None:
-        super()._rotate(pid, now)
         self.epochs[pid] += 1
 
     def _drop_dep_state(self, pid: int, ckpt_id: int, now: float) -> None:

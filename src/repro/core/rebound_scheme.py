@@ -36,7 +36,6 @@ class ReboundScheme(BaseScheme):
         super().__init__(machine)
         self.files: list[DepRegisterFile] = []
         self.barrier_coordinator = BarrierCheckpointCoordinator(self)
-        self._last_query: Optional[tuple] = None
         self.depset_defers = 0
 
     def attach(self, machine: "Machine") -> None:
@@ -54,38 +53,45 @@ class ReboundScheme(BaseScheme):
     # DependenceTracker interface (driven by the coherence engine)
     # ------------------------------------------------------------------
     def on_write(self, pid: int, addr: int) -> None:
-        self.files[pid].on_write(addr)
+        self.files[pid].sets[-1].wsig.add(addr)
 
-    def record_producer(self, consumer: int, producer: int) -> None:
-        if self.clusters.trivial:
-            self.files[consumer].record_producer(producer)
-            return
-        # Cluster mode: the bit identifies the producer's whole cluster,
-        # and every member of the consumer's cluster records it.
-        producer_mask = self.clusters.expand_pid(producer)
-        for member in self.clusters.members_of(
-                self.clusters.cluster_of(consumer)):
+    def on_dependence(self, consumer: int, producer: int, addr: int
+                      ) -> bool:
+        if not self.clusters.trivial:
+            return self._on_cluster_dependence(consumer, producer, addr)
+        files = self.files
+        consumer_set = files[consumer].sets[-1]
+        bit = 1 << producer
+        consumer_set.producers |= bit
+        # "Are you the last writer?" across the producer's live WSIGs,
+        # newest first; MyConsumers is set in the matching interval.
+        for dep in reversed(files[producer].sets):
+            claims, genuine = dep.wsig.test(addr)
+            if claims:
+                dep.consumers |= 1 << consumer
+                if genuine:
+                    dep.consumers_genuine |= 1 << consumer
+                    consumer_set.producers_genuine |= bit
+                return True
+        return False
+
+    def _on_cluster_dependence(self, consumer: int, producer: int,
+                               addr: int) -> bool:
+        """Cluster-granular :meth:`on_dependence` (Chapter 8): the bits
+        name whole clusters, and every member of the consumer's cluster
+        records the producer's."""
+        clusters = self.clusters
+        producer_mask = clusters.expand_pid(producer)
+        for member in clusters.members_of(clusters.cluster_of(consumer)):
             self.files[member].active.producers |= producer_mask
-
-    def query_writer(self, pid: int, addr: int) -> tuple[bool, bool]:
-        claims, genuine, dep = self.files[pid].query_writer(addr)
-        self._last_query = (pid, addr, dep)
-        return claims, genuine
-
-    def record_consumer(self, producer: int, consumer: int, addr: int,
-                        genuine: bool) -> None:
-        assert self._last_query is not None
-        qpid, qaddr, dep = self._last_query
-        assert qpid == producer and qaddr == addr, "query/record mismatch"
-        if self.clusters.trivial:
-            self.files[producer].record_consumer(dep, consumer, genuine)
-        else:
-            consumer_mask = self.clusters.expand_pid(consumer)
+        claims, genuine, dep = self.files[producer].query_writer(addr)
+        if claims:
+            consumer_mask = clusters.expand_pid(consumer)
             dep.consumers |= consumer_mask
             if genuine:
                 dep.consumers_genuine |= consumer_mask
-        if genuine:
-            self.files[consumer].record_producer_genuine(producer)
+                self.files[consumer].record_producer_genuine(producer)
+        return claims
 
     def on_line_left_cache(self, pid: int, addr: int, now: float) -> None:
         core = self.machine.cores[pid]
@@ -105,7 +111,6 @@ class ReboundScheme(BaseScheme):
     # interval bookkeeping hooks for the shared executor
     # ------------------------------------------------------------------
     def _rotate(self, pid: int, now: float) -> None:
-        super()._rotate(pid, now)
         self.files[pid].open_interval(now)
 
     def _mark_interval_complete(self, pid: int, interval: int,

@@ -105,17 +105,7 @@ class BaseScheme(DependenceTracker):
         return self.interval_of(pid)
 
     def _rotate(self, pid: int, now: float) -> None:
-        """Open a new interval on ``pid`` (Dep set / epoch rotation).
-
-        Overrides must call ``super()._rotate(pid, now)``: the interval
-        advance (WSIG epoch) is one of the events the fast-path
-        invalidation discipline funnels through
-        :meth:`CoherenceEngine.fastpath_epoch`, which in turn fires the
-        scheme's ``on_fastpath_epoch`` hook — schemes that cache
-        residency assumptions react there instead of poking cache
-        internals (reprolint RL006 rejects direct pokes).
-        """
-        self.machine.engine.fastpath_epoch(pid)
+        """Open a new interval on ``pid`` (Dep set / epoch rotation)."""
 
     def _mark_interval_complete(self, pid: int, interval: int,
                                 now: float) -> None:

@@ -69,7 +69,7 @@ class WriteSignature:
         return mask
 
     def add(self, addr: int) -> None:
-        self.bits |= self._mask(addr)
+        self.bits |= self._masks.get(addr) or self._mask(addr)
         self.exact.add(addr)
 
     def test(self, addr: int) -> tuple[bool, bool]:
@@ -81,13 +81,27 @@ class WriteSignature:
         negatives, asserted by the property tests).
         """
         self.tests += 1
-        mask = self._mask(addr)
+        mask = self._masks.get(addr) or self._mask(addr)
         claims = self.bits & mask == mask
         genuine = addr in self.exact
         if claims and not genuine:
             self.false_positives += 1
         assert claims or not genuine, "Bloom filter false negative"
         return claims, genuine
+
+    def __deepcopy__(self, memo: dict) -> "WriteSignature":
+        """Forks copy the bits, counters and exact shadow; the mask
+        cache is process-wide and shared, not copied."""
+        clone = WriteSignature.__new__(WriteSignature)
+        memo[id(self)] = clone
+        clone.n_bits = self.n_bits
+        clone.n_hashes = self.n_hashes
+        clone.bits = self.bits
+        clone.exact = set(self.exact)
+        clone.tests = self.tests
+        clone.false_positives = self.false_positives
+        clone._masks = self._masks
+        return clone
 
     def clear(self) -> None:
         """Cleared at the beginning of every checkpoint interval."""

@@ -648,7 +648,6 @@ def main(argv: list[str] | None = None) -> int:
               f"l1_hit_rate={mem['l1_hits'] / max(1, l1_total):.3f}, "
               f"l2_hit_rate={mem['l2_hits'] / max(1, l2_total):.3f}, "
               f"invalidations={mem['invalidations']}, "
-              f"epoch_bumps={mem['fastpath_epoch_bumps']}, "
               f"accesses={accesses}"
               if accesses else "[memsys] no completed runs in-process")
     return 0

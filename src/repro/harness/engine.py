@@ -912,8 +912,8 @@ class ExperimentEngine:
         ``--profile`` memsys row and the bench memsys section."""
         totals = {name: 0 for name in (
             "l1_hits", "l1_misses", "l2_hits", "l2_misses",
-            "fastpath_loads", "fastpath_stores", "fastpath_epoch_bumps",
-            "invalidations", "mem_accesses")}
+            "fastpath_loads", "fastpath_stores", "invalidations",
+            "mem_accesses")}
         for stats in self.memo.values():
             for name in totals:
                 totals[name] += getattr(stats, name, 0)

@@ -67,12 +67,8 @@ class Cache:
         self.n_hits = 0
         self.n_misses = 0
         self.n_evictions = 0
-        self._n_resident = 0          # O(1) len() (kept by insert/remove)
 
     # -- basic operations -------------------------------------------------
-    def _set_for(self, addr: int) -> OrderedDict:
-        return self._sets[addr % self.n_sets]
-
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line or None; updates LRU order on hit."""
         line = self._map.get(addr)
@@ -90,41 +86,39 @@ class Cache:
 
     def insert(self, addr: int, state: int, value: int
                ) -> tuple[CacheLine, Optional[CacheLine]]:
-        """Install ``addr``; returns ``(new_line, evicted_line_or_None)``."""
-        cset = self._set_for(addr)
-        line = self._map.get(addr)
-        if line is not None:  # refill over an existing line: update in place
-            line.state = state
-            line.value = value
-            cset.move_to_end(addr)
-            return line, None
+        """Install a non-resident ``addr``; returns ``(new_line,
+        evicted_line_or_None)``.
+
+        Raises ``ValueError`` if ``addr`` is already resident: a refill
+        over a live line would have to reconcile its dirty and Delayed
+        bits, and the coherence engine only installs after an L2 miss.
+        """
+        if addr in self._map:
+            raise ValueError(f"line {addr:#x} is already resident")
+        cset = self._sets[addr % self.n_sets]
         victim = None
         if len(cset) >= self.assoc:
             _, victim = cset.popitem(last=False)
             del self._map[victim.addr]
             self.n_evictions += 1
-            self._n_resident -= 1
         line = CacheLine(addr, state, value)
         cset[addr] = line
         self._map[addr] = line
-        self._n_resident += 1
         return line, victim
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
         """Remove ``addr`` if present and return the removed line."""
         line = self._map.pop(addr, None)
         if line is not None:
-            del self._set_for(addr)[addr]
-            self._n_resident -= 1
+            del self._sets[addr % self.n_sets][addr]
         return line
 
     def invalidate_all(self) -> int:
         """Flash-invalidate the whole cache (rollback); returns line count."""
-        count = self._n_resident
+        count = len(self._map)
         for cset in self._sets:
             cset.clear()
         self._map.clear()
-        self._n_resident = 0
         return count
 
     # -- iteration helpers -------------------------------------------------
@@ -134,17 +128,48 @@ class Cache:
 
     def dirty_lines(self) -> list[CacheLine]:
         """All lines with the Dirty bit set (checkpoint writeback set)."""
-        return [ln for ln in self.lines() if ln.dirty]
+        return [ln for cset in self._sets for ln in cset.values()
+                if ln.dirty]
 
     def delayed_lines(self) -> list[CacheLine]:
         """All lines with the Delayed bit set (Section 4.1)."""
-        return [ln for ln in self.lines() if ln.delayed]
+        return [ln for cset in self._sets for ln in cset.values()
+                if ln.delayed]
 
     def resident(self, addr: int) -> bool:
         return addr in self._map
 
     def __len__(self) -> int:
-        return self._n_resident
+        return len(self._map)
+
+    def __deepcopy__(self, memo: dict) -> "Cache":
+        """Structural copy (``Machine.fork``): every set is rebuilt in
+        LRU order over fresh lines, the direct map over the same fresh
+        lines, and each line is registered in ``memo`` so any other
+        reference to it copies to its twin.  The config is immutable
+        and shared."""
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(self.__dict__)
+        new_line = CacheLine.__new__
+        sets = []
+        lines = {}
+        for cset in self._sets:
+            twins = OrderedDict()
+            for addr, line in cset.items():
+                twin = new_line(CacheLine)
+                twin.addr = addr
+                twin.state = line.state
+                twin.value = line.value
+                twin.dirty = line.dirty
+                twin.delayed = line.delayed
+                twins[addr] = twin
+                lines[addr] = twin
+                memo[id(line)] = twin
+            sets.append(twins)
+        clone._sets = sets
+        clone._map = lines
+        return clone
 
 
 class L1Cache:
@@ -172,10 +197,6 @@ class L1Cache:
         self._map: dict[int, OrderedDict] = {}
         self.n_hits = 0
         self.n_misses = 0
-        self._n_resident = 0          # O(1) len() (kept by fill/remove)
-
-    def _set_for(self, addr: int) -> OrderedDict:
-        return self._sets[addr % self.n_sets]
 
     def contains(self, addr: int) -> bool:
         cset = self._map.get(addr)
@@ -187,31 +208,41 @@ class L1Cache:
         return False
 
     def fill(self, addr: int) -> None:
-        cset = self._set_for(addr)
+        cset = self._sets[addr % self.n_sets]
         if addr in cset:
             cset.move_to_end(addr)
             return
         if len(cset) >= self.assoc:
             victim_addr, _ = cset.popitem(last=False)
             del self._map[victim_addr]
-            self._n_resident -= 1
         cset[addr] = True
         self._map[addr] = cset
-        self._n_resident += 1
 
     def invalidate(self, addr: int) -> None:
         cset = self._map.pop(addr, None)
         if cset is not None:
             del cset[addr]
-            self._n_resident -= 1
 
     def invalidate_all(self) -> int:
-        count = self._n_resident
+        count = len(self._map)
         for cset in self._sets:
             cset.clear()
         self._map.clear()
-        self._n_resident = 0
         return count
 
     def __len__(self) -> int:
-        return self._n_resident
+        return len(self._map)
+
+    def __deepcopy__(self, memo: dict) -> "L1Cache":
+        """Structural copy (``Machine.fork``): the sets are copied in
+        LRU order and the direct map re-pointed at the copies."""
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(self.__dict__)
+        sets = [OrderedDict(cset) for cset in self._sets]
+        owners = {}
+        for cset in sets:
+            owners.update(dict.fromkeys(cset, cset))
+        clone._sets = sets
+        clone._map = owners
+        return clone

@@ -53,7 +53,7 @@ class MemoryChannels:
         fixed ``memory_cycles`` round trip, and how much of it checkpoint
         traffic caused (feeds IPCDelay).
         """
-        ch = self.channel_of(addr)
+        ch = addr % self.n
         occ = self.config.dram_occupancy
         start = max(now, self.demand_busy[ch])
         queue_wait = start - now
@@ -89,7 +89,7 @@ class MemoryChannels:
         (Section 3.3.3); ``checkpoint`` marks the busy window as
         checkpoint-induced for IPCDelay attribution.
         """
-        ch = self.channel_of(addr)
+        ch = addr % self.n
         occ = (self.config.logged_wb_occupancy if logged
                else self.config.dram_occupancy)
         start = max(now, self.wb_busy[ch], self.demand_busy[ch])
@@ -110,7 +110,7 @@ class MemoryChannels:
         machine-wide drain (Global_DWB) makes these flushes far more
         expensive than one interaction set's drain.  Returns completion.
         """
-        ch = self.channel_of(addr)
+        ch = addr % self.n
         occ = self.config.logged_wb_occupancy
         contention = occ * self.bg_streams / (4.0 * self.n)
         start = max(now, self.demand_busy[ch]) + contention

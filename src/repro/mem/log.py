@@ -21,14 +21,18 @@ restoring precisely the memory image checkpoint ``k`` certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.params import LOG_ENTRY_BYTES
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    """One undo record: writer, line, old value and producing interval."""
+class LogEntry(NamedTuple):
+    """One undo record: writer, line, old value and producing interval.
+
+    A named tuple: built in one C call on every logged writeback,
+    immutable, picklable and equal by its fields.  Forks share entries
+    (``__deepcopy__`` returns the entry itself).
+    """
 
     seq: int
     time: float
@@ -36,6 +40,9 @@ class LogEntry:
     addr: int
     old_value: int
     interval: int
+
+    def __deepcopy__(self, memo: dict) -> "LogEntry":
+        return self
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,8 @@ class ReviveLog:
 
     def append(self, time: float, pid: int, addr: int, old_value: int,
                interval: int) -> LogEntry:
-        entry = LogEntry(self.next_seq(), time, pid, addr, old_value,
-                         interval)
+        self._seq = seq = self._seq + 1
+        entry = LogEntry(seq, time, pid, addr, old_value, interval)
         self.banks[addr % self.n_banks].append(entry)
         self.total_entries += 1
         tbin = int(time) // self.bin_cycles

@@ -49,18 +49,19 @@ class MainMemory:
         """Write a dirty line of ``interval`` back; True if a log entry
         was made (False when the first-writeback filter suppressed it)."""
         self.writes += 1
-        logged = False
-        seen = self._logged.setdefault((pid, interval), set())
-        if addr not in seen:
-            old = self._values.get(addr, 0)
-            self.log.append(time, pid, addr, old, interval)
-            seen.add(addr)
-            self.logged_writebacks += 1
-            logged = True
-        else:
+        key = (pid, interval)
+        seen = self._logged.get(key)
+        if seen is None:
+            seen = self._logged[key] = set()
+        elif addr in seen:
             self.suppressed_logs += 1
+            self._values[addr] = value
+            return False
+        self.log.append(time, pid, addr, self._values.get(addr, 0), interval)
+        seen.add(addr)
+        self.logged_writebacks += 1
         self._values[addr] = value
-        return logged
+        return True
 
     def end_interval(self, pid: int, interval: int) -> None:
         """Drop the first-writeback filter of a closed interval."""

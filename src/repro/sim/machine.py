@@ -315,7 +315,7 @@ class Machine:
         limit = self._limit
         heap = self._heap
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        heappushpop = heapq.heappushpop
         cores = self.cores
         scheme = self.scheme
         sync = self.sync
@@ -330,10 +330,13 @@ class Machine:
         check = self.config.check_coherence
         modified = MODIFIED
         golden = engine.golden
-        l1_maps = [l1._map for l1 in engine.l1s]
-        l1_fills = [l1.fill for l1 in engine.l1s]
-        l2_maps = [l2._map for l2 in engine.l2s]
-        l2_sets = [l2._sets for l2 in engine.l2s]
+        # Everything a batch reads of its core, unpacked once per pop.
+        # The caches' maps are mutated in place only, so binding them
+        # here stays valid for the whole call.
+        contexts = [
+            (core, core.ops, core.args, len(core.ops or ()), core.stats,
+             core.store_tag, l1._map, l1.fill, l2._map, l2._sets)
+            for core, l1, l2 in zip(cores, engine.l1s, engine.l2s)]
         l2_n_sets = self.config.l2.n_sets
         l1_hit_cycles = self.config.l1.hit_cycles
         l2_hit_cycles = self.config.l2.hit_cycles     # int: load hits
@@ -341,11 +344,18 @@ class Machine:
         fast_l1_loads = [0] * n_cores
         fast_l2_loads = [0] * n_cores
         fast_stores = [0] * n_cores
+        # A fused batch that yields to another event re-enters the heap
+        # and takes the next event in one heappushpop; that event is
+        # carried here to the top of the loop.
+        entry = None
         try:
             while self._n_done < n_cores:
-                if not heap:
-                    self._diagnose_deadlock()
-                when, _, kind, a, b = heappop(heap)
+                if entry is None:
+                    if not heap:
+                        self._diagnose_deadlock()
+                    entry = heappop(heap)
+                when, _, kind, a, b = entry
+                entry = None
                 if kind != _EXEC:
                     if kind == _PAUSE:
                         # Unobservable: the clock stays at the last real
@@ -364,7 +374,8 @@ class Machine:
                     self.now = when
                 if when > limit:
                     raise self._cycle_limit_exceeded()
-                core = cores[a]
+                (core, ops, args, n_records, stats, store_tag,
+                 l1_map, l1_fill, l2_map, l2_set_list) = contexts[a]
                 if core.done or core.blocked is not None or b != core.epoch:
                     continue  # stale entry
                 if when < core.not_before:
@@ -373,16 +384,7 @@ class Machine:
                 # -- trace execution: a batch of records for ``core`` ------
                 t = core.time
                 now = when if when >= t else t
-                ops = core.ops
-                args = core.args
-                n_records = len(ops)
-                pid = core.pid
-                stats = core.stats
-                l1_map = l1_maps[pid]
-                l1_fill = l1_fills[pid]
-                l2_map = l2_maps[pid]
-                l2_set_list = l2_sets[pid]
-                store_tag = core.store_tag
+                pid = a
                 budget = quantum
                 while True:
                     # Checkpoint-initiation decisions run here, at the
@@ -443,14 +445,14 @@ class Machine:
                         core.ip = ip + 1
                     elif op == STORE:
                         line = l2_map.get(arg) if fastpath else None
+                        seq = core.store_seq + 1
+                        core.store_seq = seq
+                        value = store_tag | seq
                         if (line is not None and line.state == modified
                                 and not line.delayed):
                             # Already MODIFIED by self, nothing Delayed:
                             # the slow path would only set line.value and
                             # return the L2 hit latency.
-                            seq = core.store_seq + 1
-                            core.store_seq = seq
-                            value = store_tag | seq
                             if check:
                                 golden[arg] = value
                             l2_set_list[arg % l2_n_sets].move_to_end(arg)
@@ -458,9 +460,7 @@ class Machine:
                             fast_stores[pid] += 1
                             latency = l2_store_cycles
                         else:
-                            latency = engine_store(pid, arg,
-                                                   core.next_store_value(),
-                                                   now)
+                            latency = engine_store(pid, arg, value, now)
                         core.time = now + latency
                         core.instr_count += 1
                         core.instr_since_ckpt += 1
@@ -519,10 +519,10 @@ class Machine:
                     nb = core.not_before
                     when = t if t >= nb else nb
                     if budget <= 0 or (heap and heap[0][0] <= when):
-                        core.epoch += 1
-                        self._seq += 1
-                        heappush(heap,
-                                 (when, self._seq, _EXEC, pid, core.epoch))
+                        core.epoch = epoch = core.epoch + 1
+                        self._seq = seq = self._seq + 1
+                        entry = heappushpop(heap,
+                                            (when, seq, _EXEC, pid, epoch))
                         break
                     # ``self.now`` is not advanced record-by-record:
                     # nothing can observe it mid-batch (callbacks only run
@@ -597,10 +597,13 @@ class Machine:
         """A paused machine cloned mid-run, bit-identical from here on.
 
         The clone shares the immutable bulk (config, workload, trace
-        columns) with the parent and deep-copies all mutable simulation
-        state (caches, directory, log, heap, cores, scheme, RNG), so
-        advancing the clone is indistinguishable from advancing a
-        machine that was *constructed* with the clone's state.  Pause
+        columns, log entries) with the parent and deep-copies all
+        mutable simulation state (caches, directory, log, heap, cores,
+        scheme, RNG), so advancing the clone is indistinguishable from
+        advancing a machine that was *constructed* with the clone's
+        state.  The caches, the directory and the write signatures copy
+        themselves structurally (their ``__deepcopy__``), which keeps
+        the bulk of the state out of generic ``copy.deepcopy``.  Pause
         sentinels are stripped — they belong to the parent's schedule.
 
         Refuses (``UnforkableMachineError``) if a legacy closure
@@ -715,7 +718,6 @@ class Machine:
         stats.l2_misses = sum(l2.n_misses for l2 in engine.l2s)
         stats.fastpath_loads = engine.fast_loads
         stats.fastpath_stores = engine.fast_stores
-        stats.fastpath_epoch_bumps = sum(engine.fastpath_epochs)
         stats.invalidations = engine.invalidations_sent
         stats.mem_accesses = engine.energy_l1  # one l1 event per load+store
         # Useful-work accounting audit: with the golden coherence checker

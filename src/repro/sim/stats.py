@@ -147,7 +147,6 @@ class SimStats:
     l2_misses: int = 0
     fastpath_loads: int = 0
     fastpath_stores: int = 0
-    fastpath_epoch_bumps: int = 0
     invalidations: int = 0
     mem_accesses: int = 0
 

@@ -7,8 +7,8 @@ def poke(self, machine, pid, addr):
     machine.engine.l2s[pid].peek(addr).delayed = False
     machine.engine.directory.entry(addr).lw_id = None
     # Legal: a line the engine handed out is mutated through a bare
-    # local — the engine-side call is the audited entry point — and
-    # reacting in on_fastpath_epoch is the sanctioned discipline.
+    # local — the engine-side call is the audited entry point; residency
+    # itself changes only through the CoherenceEngine services.
     line = machine.engine.l2s[pid].peek(addr)
     line.delayed = False
     machine.engine.l2s[pid].invalidate(addr)  # reprolint: disable=RL006

@@ -1,5 +1,6 @@
 """Tests for the set-associative cache models."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,13 +39,16 @@ class TestCache:
         assert victim is not None
         assert victim.addr == 4
 
-    def test_insert_same_line_updates_in_place(self):
+    def test_insert_resident_line_raises(self):
+        # A refill over a live line would leave its dirty bit stale (a
+        # SHARED line refilled as MODIFIED would never be written back).
         cache = small_cache()
-        cache.insert(7, SHARED, 1)
-        line, victim = cache.insert(7, MODIFIED, 2)
-        assert victim is None
-        assert line.value == 2
-        assert line.state == MODIFIED
+        line, _ = cache.insert(7, SHARED, 1)
+        with pytest.raises(ValueError, match="already resident"):
+            cache.insert(7, MODIFIED, 2)
+        assert cache.peek(7) is line
+        assert (line.state, line.value, line.dirty) == (SHARED, 1, False)
+        assert len(cache) == 1
 
     def test_invalidate_removes_line(self):
         cache = small_cache()
@@ -88,7 +92,9 @@ class TestCache:
     def test_capacity_never_exceeded(self, addrs):
         cache = Cache(CacheConfig(8 * 32, 2, 32))  # 8 lines, 2-way
         for addr in addrs:
-            cache.insert(addr, SHARED, 0)
+            # The engine's discipline: install only after a miss.
+            if cache.lookup(addr) is None:
+                cache.insert(addr, SHARED, 0)
             assert len(cache) <= 8
             for cset in cache._sets:
                 assert len(cset) <= 2
@@ -100,10 +106,11 @@ class TestCache:
         cache = Cache(CacheConfig(16 * 32, 4, 32))
         alive = set()
         for addr in addrs:
-            _, victim = cache.insert(addr, SHARED, 0)
-            alive.add(addr)
-            if victim is not None:
-                alive.discard(victim.addr)
+            if cache.lookup(addr) is None:
+                _, victim = cache.insert(addr, SHARED, 0)
+                alive.add(addr)
+                if victim is not None:
+                    alive.discard(victim.addr)
             assert cache.resident(addr)
         assert {ln.addr for ln in cache.lines()} == alive
 

@@ -221,7 +221,6 @@ def test_memsys_counters_are_internally_consistent():
     assert stats.l2_hits + stats.l2_misses <= stats.mem_accesses
     assert stats.fastpath_loads + stats.fastpath_stores \
         <= stats.mem_accesses
-    assert stats.fastpath_epoch_bumps > 0      # interval advances alone
     assert stats.energy_events.get("l1", 0) == stats.mem_accesses
 
 

@@ -1,9 +1,13 @@
 """Tests for the ReVive-style undo log (Section 3.3.3)."""
 
+import copy
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.log import ReviveLog
+from repro.mem.log import LogEntry, ReviveLog
 from repro.params import LOG_ENTRY_BYTES
 
 
@@ -20,6 +24,18 @@ class TestAppendAndMarkers:
         a = log.append(1.0, 0, 2, 0, interval=1)
         b = log.append(2.0, 1, 4, 0, interval=1)
         assert b.seq > a.seq
+
+    def test_entries_are_immutable_shared_records(self):
+        log = ReviveLog()
+        entry = log.append(3.0, 1, 6, 42, interval=2)
+        assert entry == LogEntry(entry.seq, 3.0, 1, 6, 42, 2)
+        assert pickle.loads(pickle.dumps(entry)) == entry
+        with pytest.raises(AttributeError):
+            entry.old_value = 0
+        # A fork's copy of the log holds the very same entries.
+        clone = copy.deepcopy(log)
+        assert clone.banks[0][0] is entry
+        assert clone.banks is not log.banks
 
     def test_markers_recorded(self):
         log = ReviveLog()

@@ -1,5 +1,7 @@
 """Tests for the WSIG Bloom-filter write signature (Section 3.3.2)."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,3 +119,16 @@ class TestProperties:
         for addr in members:
             claims, genuine = a.test(addr)
             assert claims and genuine
+
+
+def test_deepcopy_is_independent_and_shares_the_mask_cache():
+    sig = WriteSignature(256, 4)
+    sig.add(7)
+    sig.test(9)
+    before = (sig.bits, set(sig.exact), sig.tests)
+    clone = copy.deepcopy(sig)
+    assert clone._masks is sig._masks
+    assert (clone.bits, clone.exact, clone.tests) == before
+    clone.add(11)
+    clone.test(7)
+    assert (sig.bits, sig.exact, sig.tests) == before
