@@ -197,11 +197,11 @@ class CoherenceEngine:
             self.energy_l2 += total_l2 + total_stores
 
     def _check_load(self, addr: int, value: int) -> None:
-        if self.config.check_coherence:
-            expected = self.golden.get(addr, 0)
-            assert value == expected, (
-                f"coherence violation at {addr:#x}: "
-                f"loaded {value:#x}, expected {expected:#x}")
+        """Golden-model check (callers gate on ``check_coherence``)."""
+        expected = self.golden.get(addr, 0)
+        assert value == expected, (
+            f"coherence violation at {addr:#x}: "
+            f"loaded {value:#x}, expected {expected:#x}")
 
     # ------------------------------------------------------------------
     # dependence recording
@@ -231,16 +231,6 @@ class CoherenceEngine:
         if self.tracker.enabled:
             self.tracker.on_write(pid, entry.addr)
             self.energy_wsig += 1
-
-    def _home_entry(self, addr: int) -> DirEntry:
-        """The directory entry of ``addr``, created on first touch."""
-        entries = self.directory._entries
-        entry = entries.get(addr)
-        if entry is None:
-            entry = entries[addr] = DirEntry(addr)
-        self.energy_dir += 1
-        self.network.base_messages += 2  # request + response
-        return entry
 
     # ------------------------------------------------------------------
     # internal helpers
@@ -377,11 +367,17 @@ class CoherenceEngine:
             l2.n_hits += 1
             self.fast_loads += 1
             l1.fill(addr)
-            self._check_load(addr, line.value)
+            if config.check_coherence:
+                self._check_load(addr, line.value)
             return config.l2.hit_cycles
         l2.n_misses += 1
-        # L2 miss -> home directory.
-        entry = self._home_entry(addr)
+        # L2 miss -> home directory (entry created on first touch).
+        entries = self.directory._entries
+        entry = entries.get(addr)
+        if entry is None:
+            entry = entries[addr] = DirEntry(addr)
+        self.energy_dir += 1
+        self.network.base_messages += 2  # request + response
         latency = float(config.l2.hit_cycles)
         remote = entry.mode == EXCL and entry.owner != pid
         producer = entry.lw_id
@@ -413,7 +409,8 @@ class CoherenceEngine:
             entry.sharers = 0
             self._stamp_writer(entry, pid)
             self._install(pid, addr, EXCLUSIVE, value, now)
-        self._check_load(addr, value)
+        if config.check_coherence:
+            self._check_load(addr, value)
         return latency
 
     def store(self, pid: int, addr: int, value: int, now: float) -> float:
@@ -453,7 +450,12 @@ class CoherenceEngine:
                 return latency
         else:
             l2.n_misses += 1
-        entry = self._home_entry(addr)
+        entries = self.directory._entries
+        entry = entries.get(addr)
+        if entry is None:
+            entry = entries[addr] = DirEntry(addr)
+        self.energy_dir += 1
+        self.network.base_messages += 2  # request + response
         remote = (line is None and entry.mode == EXCL
                   and entry.owner != pid)
         producer = entry.lw_id

@@ -42,9 +42,6 @@ class MemoryChannels:
         self.demand_wait_cycles = 0.0
         self.demand_ckpt_wait_cycles = 0.0
 
-    def channel_of(self, addr: int) -> int:
-        return addr % self.n
-
     # -- demand path --------------------------------------------------------
     def demand_access(self, now: float, addr: int) -> tuple[float, float]:
         """A cache miss serviced by memory.

@@ -29,8 +29,9 @@ from repro.params import LOG_ENTRY_BYTES
 class LogEntry(NamedTuple):
     """One undo record: writer, line, old value and producing interval.
 
-    A named tuple: built in one C call on every logged writeback,
-    immutable, picklable and equal by its fields.  Forks share entries
+    A named tuple — immutable, picklable and equal by its fields — so
+    the append on every logged writeback skips the per-field
+    ``object.__setattr__`` of a frozen dataclass.  Forks share entries
     (``__deepcopy__`` returns the entry itself).
     """
 

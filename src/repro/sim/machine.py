@@ -334,7 +334,7 @@ class Machine:
         # The caches' maps are mutated in place only, so binding them
         # here stays valid for the whole call.
         contexts = [
-            (core, core.ops, core.args, len(core.ops or ()), core.stats,
+            (core, core.ops, core.args, len(core.ops), core.stats,
              core.store_tag, l1._map, l1.fill, l2._map, l2._sets)
             for core, l1, l2 in zip(cores, engine.l1s, engine.l2s)]
         l2_n_sets = self.config.l2.n_sets
