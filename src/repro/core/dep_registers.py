@@ -154,7 +154,7 @@ class DepRegisterFile:
         self.active.producers_genuine |= 1 << producer
 
     def on_write(self, addr: int) -> None:
-        self.active.wsig.add(addr)
+        self.sets[-1].wsig.add(addr)
 
     def query_writer(self, addr: int
                      ) -> tuple[bool, bool, Optional[DepRegisterSet]]:

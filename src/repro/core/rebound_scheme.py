@@ -53,7 +53,7 @@ class ReboundScheme(BaseScheme):
     # DependenceTracker interface (driven by the coherence engine)
     # ------------------------------------------------------------------
     def on_write(self, pid: int, addr: int) -> None:
-        self.files[pid].sets[-1].wsig.add(addr)
+        self.files[pid].on_write(addr)
 
     def on_dependence(self, consumer: int, producer: int, addr: int
                       ) -> bool:
