@@ -1,4 +1,4 @@
-"""RL006 — residency discipline: no cache pokes outside
+"""RL006 (fastpath-invalidation) — no cache pokes outside
 ``coherence``/``mem``.
 
 The memory-system fast path (``Machine._advance_main`` with
