@@ -1,7 +1,8 @@
 """``reprolint``: contract-enforcing static analysis for the repro tree.
 
-The codebase rests on three contracts enforced, until now, only at
-runtime — after a cache is poisoned or a replica batch has degraded:
+The codebase rests on three contracts that break silently at runtime —
+a cache serves poisoned entries, a forked closure fires into the wrong
+machine:
 bit-determinism (the content-addressed result/workload caches),
 fork-safety (every scheduled callback a ``DurableCall``), and
 fingerprint coverage (every module that can affect a ``SimStats``

@@ -7,9 +7,9 @@ enforced only *dynamically* — after the damage was done:
   (:mod:`repro.harness.engine`, :mod:`repro.harness.workload_store`)
   silently serve wrong entries if two runs of the same key can differ.
 * **Fork-safety** — every scheduled callback must be a
-  :class:`~repro.sim.events.DurableCall`; ``Machine.fork`` raises
-  ``UnforkableMachineError`` at runtime otherwise and the replica batch
-  quietly falls back to scalar runs.
+  :class:`~repro.sim.events.DurableCall`; ``Machine.fork`` deep-copies
+  the event heap, so a closure pushed onto it would fire into the
+  parent machine instead of the replica.
 * **Fingerprint coverage** — every module that can affect a
   ``SimStats`` must be hashed by ``code_fingerprint()``, or a code
   change keeps serving stale cache entries.
@@ -22,9 +22,9 @@ dispatches each module (and the whole project) to the selected rules.
 
 Suppressions are line-scoped comments::
 
-    machine.schedule(when, cb)  # reprolint: disable=RL001
-    x = hazard()                # reprolint: disable=RL002,RL004
-    y = hazard()                # reprolint: disable=all
+    machine.schedule_call(when, cb)  # reprolint: disable=RL001
+    x = hazard()                     # reprolint: disable=RL002,RL004
+    y = hazard()                     # reprolint: disable=all
 
 Output is human text (``path:line: CODE message``) or JSON
 (``--json``); the run exits non-zero iff unsuppressed findings remain.

@@ -3,12 +3,13 @@
 ``Machine.fork`` (the vectorized campaign executor's replica spill)
 deep-copies the event heap; ``copy.deepcopy`` treats functions as
 atomic, so a scheduled closure would keep firing into the *parent*
-machine.  The runtime guard (``UnforkableMachineError``) only trips
-once a batch has already formed — and then silently degrades it to
-scalar runs.  This rule bans the hazard at the source, inside
-``repro.sim`` and ``repro.core``:
+machine.  The machine therefore has one callback kind,
+:class:`~repro.sim.events.DurableCall`, and no runtime guard: this rule
+keeps closures out at the source, inside ``repro.sim`` and
+``repro.core``:
 
-* any call through the legacy closure path ``<obj>.schedule(...)``;
+* any ``<obj>.schedule(...)`` call — the removed closure-scheduling
+  entry point must not come back;
 * a ``lambda`` argument to ``schedule_call`` or a heap push;
 * a locally-defined function (a closure by construction) passed by
   name to ``schedule_call`` or a heap push.

@@ -50,8 +50,9 @@ Results are memoized and disk-cached *per key*, exactly like scalar
 runs, so the cache format, the invariant harness and the campaign
 summaries see no difference.  ``REPRO_VECTOR=0`` (or ``--vector=off``
 mapped through the CLI's ``--no-vector``) forces the scalar path;
-without numpy the engine falls back to scalar runs with a one-line
-warning.
+without numpy the engine plans no batches and says so in a one-line
+warning.  Every planned task is a tuple of keys: a 1-tuple runs through
+``execute_run``, a longer one through ``execute_batch``.
 
 Knobs (CLI flags on ``python -m repro.harness`` map onto the same
 settings)::
@@ -81,10 +82,10 @@ from typing import Callable, Iterable, Optional
 from repro.core.factory import fault_free_invariant_overrides
 from repro.harness.scenario import EMPTY_OVERRIDES, Overrides
 from repro.harness.workload_store import WorkloadStore
-from repro.params import MachineConfig, Scheme
+from repro.params import MachineConfig, Scheme, env_flag
 from repro.sim import SimStats
 from repro.sim.faults import FaultPlan
-from repro.sim.machine import Machine, UnforkableMachineError
+from repro.sim.machine import Machine
 from repro.sim.vector import have_numpy
 from repro.workloads import (
     get_workload,
@@ -100,7 +101,7 @@ from repro.workloads.registry import is_builtin_workload
 #:    entries pickled before them would deserialize without the fields
 #:    the campaign tables now read.
 #: 3: memory-system fast path — SimStats grew the memsys counters
-#:    (l1/l2 hits+misses, fastpath loads/stores/epochs, invalidations,
+#:    (l1/l2 hits+misses, fastpath loads/stores, invalidations,
 #:    mem_accesses) that ``--profile`` and the bench memsys section read.
 CACHE_FORMAT = 3
 
@@ -210,9 +211,9 @@ def execute_run(key: RunKey,
     return Machine(config, workload, faults=key.fault_list()).run()
 
 
-def execute_batch(keys: list[RunKey],
+def execute_batch(keys: tuple[RunKey, ...],
                   store: Optional[WorkloadStore] = None,
-                  ) -> tuple[list[SimStats], bool]:
+                  ) -> list[SimStats]:
     """Run a same-workload replica group through the vector executor.
 
     ``keys`` must agree on every :class:`RunKey` field except their
@@ -225,11 +226,9 @@ def execute_batch(keys: list[RunKey],
     differ in invariant fields ride the same leader with their own
     resolved config (``replica_configs``) — a detection-latency sweep
     under Global is served from one trace pass.  Returns the per-key
-    stats in input order plus a flag saying whether the batch *fell
-    back* to scalar runs — which happens when the machine cannot be
-    forked (an out-of-tree scheme scheduled a legacy closure callback)
-    or numpy is missing; either way the stats are the same
-    bit-identical results ``execute_run`` would produce.
+    stats in input order, bit-identical to what ``execute_run`` gives
+    each key.  Raises ``ImportError`` without numpy; the engine never
+    plans a batch then.
     """
     from repro.sim.vector import run_replica_batch
 
@@ -249,12 +248,17 @@ def execute_batch(keys: list[RunKey],
     if any(key.overrides != keys[0].overrides for key in keys):
         replica_configs = [config if key.overrides == keys[0].overrides
                            else resolve_config(key) for key in keys]
-    try:
-        result = run_replica_batch(config, workload, fault_lists,
-                                   replica_configs=replica_configs)
-    except (UnforkableMachineError, ImportError):
-        return [execute_run(key, store) for key in keys], True
-    return result.stats, False
+    return run_replica_batch(config, workload, fault_lists,
+                             replica_configs=replica_configs).stats
+
+
+def _execute_task(task: tuple[RunKey, ...],
+                  store: Optional[WorkloadStore]) -> list[SimStats]:
+    """Run one planned task: a 1-tuple is a scalar run, a longer tuple
+    a replica batch.  Returns the stats in task order."""
+    if len(task) == 1:
+        return [execute_run(task[0], store)]
+    return execute_batch(task, store)
 
 
 #: One store instance per root per worker process: pool tasks arrive as
@@ -335,13 +339,12 @@ def _run_chunk(chunk: list, store_root: Optional[str] = None,
                cache_dir: Optional[str] = None) -> tuple[list, Optional[dict]]:
     """Worker entry point: run a pack of planned tasks back to back.
 
-    Each element of ``chunk`` is a lone :class:`RunKey` or a replica
-    batch (``list[RunKey]``), exactly as ``_plan_tasks`` emitted it.
-    Per task the outcome is ``("ok", payload, seconds, fell_back,
-    cached)`` — ``payload`` is the ``SimStats`` (or list, for a batch)
-    and ``cached`` says every result already landed in the disk cache —
-    or ``("err", exc)``; a raising task never takes its chunk siblings
-    down, and completed siblings are already persisted when it does.
+    Each element of ``chunk`` is a task tuple exactly as ``_plan_tasks``
+    emitted it.  Per task the outcome is ``("ok", stats_list, seconds,
+    cached)`` — ``cached`` says every result already landed in the disk
+    cache — or ``("err", exc)``; a raising task never takes its chunk
+    siblings down, and completed siblings are already persisted when it
+    does.
     The second return value is this call's workload-store counter
     deltas, so the engine can aggregate store behaviour across worker
     processes.
@@ -352,21 +355,16 @@ def _run_chunk(chunk: list, store_root: Optional[str] = None,
     for task in chunk:
         start = time.perf_counter()
         try:
-            if isinstance(task, list):
-                payload, fell_back = execute_batch(task, store)
-            else:
-                payload, fell_back = execute_run(task, store), False
+            stats_list = _execute_task(task, store)
         except BaseException as exc:  # noqa: BLE001 - reported per task
             outcomes.append(("err", _portable_exc(exc)))
             continue
         seconds = time.perf_counter() - start
         cached = False
         if cache_dir is not None:
-            keys = task if isinstance(task, list) else [task]
-            stats_seq = payload if isinstance(task, list) else [payload]
             cached = all(_write_cache_entry(cache_dir, key, stats) is None
-                         for key, stats in zip(keys, stats_seq))
-        outcomes.append(("ok", payload, seconds, fell_back, cached))
+                         for key, stats in zip(task, stats_list))
+        outcomes.append(("ok", stats_list, seconds, cached))
     deltas = None
     if store is not None:
         deltas = {name: count - before[name]
@@ -407,19 +405,6 @@ def code_fingerprint() -> str:
             digest.update(path.read_bytes())
         _FINGERPRINT = digest.hexdigest()
     return _FINGERPRINT
-
-
-def _env_flag(name: str, text: str) -> bool:
-    """Parse an on/off environment variable, rejecting garbage with a
-    one-line error that names the variable (a typo like
-    ``REPRO_VECTOR=fasle`` must not silently pick either behaviour)."""
-    lower = text.strip().lower()
-    if lower in ("1", "on", "true", "yes"):
-        return True
-    if lower in ("0", "off", "false", "no"):
-        return False
-    raise ValueError(f"{name} must be one of 1/0/on/off/true/false/"
-                     f"yes/no, got {text!r}")
 
 
 def default_jobs() -> int:
@@ -520,9 +505,7 @@ class ExperimentEngine:
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else default_cache_dir()
         if use_disk_cache is None:
-            env = os.environ.get("REPRO_NO_CACHE")
-            use_disk_cache = not (env is not None and env != ""
-                                  and _env_flag("REPRO_NO_CACHE", env))
+            use_disk_cache = not env_flag("REPRO_NO_CACHE", False)
         self.use_disk_cache = use_disk_cache
         # The workload store lives under the result cache dir and obeys
         # the same opt-out: ``--no-cache`` means no disk I/O at all.
@@ -531,9 +514,7 @@ class ExperimentEngine:
             if use_disk_cache else None)
         self.verbose = verbose
         if vector is None:
-            env = os.environ.get("REPRO_VECTOR")
-            if env is not None and env != "":
-                vector = _env_flag("REPRO_VECTOR", env)
+            vector = env_flag("REPRO_VECTOR", None)
         #: The *request* (None = auto): distinguishes "user said no"
         #: from "numpy is missing" for the fallback warning below.
         self._vector_requested = vector
@@ -625,19 +606,7 @@ class ExperimentEngine:
             self._run_parallel(tasks, len(missing))
         else:
             for task in tasks:
-                start = time.perf_counter()
-                if isinstance(task, list):
-                    self._announce_batch(task)
-                    stats_list, fell_back = execute_batch(
-                        task, self.workload_store)
-                    self._finish_batch(task, stats_list,
-                                       time.perf_counter() - start,
-                                       fell_back)
-                else:
-                    self._announce(task)
-                    stats = execute_run(task, self.workload_store)
-                    self._finish(task, stats,
-                                 time.perf_counter() - start)
+                self._run_serial(task)
         return {key: self.memo[key] for key in unique}
 
     def run_stream(self, keys: Iterable[RunKey],
@@ -701,29 +670,15 @@ class ExperimentEngine:
                     if should_cancel is not None and should_cancel():
                         report.cancelled = True
                         for rest in tasks[index:]:
-                            report.pending.extend(
-                                rest if isinstance(rest, list) else [rest])
+                            report.pending.extend(rest)
                         break
-                    start = time.perf_counter()
                     try:
-                        if isinstance(task, list):
-                            self._announce_batch(task)
-                            stats_list, fell_back = execute_batch(
-                                task, self.workload_store)
-                            self._finish_batch(
-                                task, stats_list,
-                                time.perf_counter() - start, fell_back)
-                        else:
-                            self._announce(task)
-                            stats = execute_run(task, self.workload_store)
-                            self._finish(task, stats,
-                                         time.perf_counter() - start)
+                        self._run_serial(task)
                     except KeyboardInterrupt:
                         raise
                     except BaseException as exc:  # noqa: BLE001
                         exc = _portable_exc(exc)
-                        for key in (task if isinstance(task, list)
-                                    else [task]):
+                        for key in task:
                             report.failures.append((key, exc))
         finally:
             self._land_hook = None
@@ -762,15 +717,15 @@ class ExperimentEngine:
         return (key.app, key.n_cores, key.scheme, key.intervals, key.seed,
                 key.scale, key.io_every, key.cluster, overrides)
 
-    def _plan_tasks(self, missing: list[RunKey]) -> list:
-        """The execution plan: each element is a lone :class:`RunKey`
-        (scalar run) or a ``list[RunKey]`` (replica batch of two or
-        more), placed at its first member's position in ``missing`` so
-        serial execution keeps the submission order — a failing task
-        never masks work listed before it.  With vectorization off (or
-        unavailable) every key is a single; a one-line warning fires
-        once when batches *would* have formed but numpy is missing and
-        the user didn't opt out."""
+    def _plan_tasks(self, missing: list[RunKey]) -> list[tuple]:
+        """The execution plan: each element is a tuple of keys, a
+        1-tuple for a scalar run or the whole group for a replica batch
+        of two or more.  A task sits at its first member's position in
+        ``missing``, so serial execution keeps the submission order and
+        a failing task never masks work listed before it.  With
+        vectorization off (or unavailable) every task is a 1-tuple; a
+        one-line warning fires once when batches *would* have formed
+        but numpy is missing and the user didn't opt out."""
         groups: dict[tuple, list[RunKey]] = {}
         for key in missing:
             groups.setdefault(self._batch_key(key), []).append(key)
@@ -783,19 +738,14 @@ class ExperimentEngine:
                 print("  [engine] warning: numpy unavailable; campaign "
                       "batches fall back to scalar runs "
                       "(pip install repro[vector])", flush=True)
-            return list(missing)
-        tasks: list = []
+            return [(key,) for key in missing]
+        tasks: list[tuple] = []
         emitted: set = set()
         for key in missing:
             ident = self._batch_key(key)
-            if ident in emitted:
-                continue
-            group = groups[ident]
-            if len(group) >= 2:
-                tasks.append(group)
+            if ident not in emitted:
                 emitted.add(ident)
-            else:
-                tasks.append(key)
+                tasks.append(tuple(groups[ident]))
         return tasks
 
     def _prepare_workloads(self, missing: list[RunKey]) -> None:
@@ -850,7 +800,7 @@ class ExperimentEngine:
         """What a task must share to profit from a chunk-mate: the
         workload-store digest when addressable (built-ins share one
         entry across schemes/overrides), else the build parameters."""
-        key = task[0] if isinstance(task, list) else task
+        key = task[0]
         store = self.workload_store
         if store is not None:
             digest = store.digest_for(key.app, key.n_cores,
@@ -947,9 +897,8 @@ class ExperimentEngine:
         paid for, and the service's cancel path reuses the same
         machinery.
         """
-        n_runs = sum(len(task) if isinstance(task, list) else 1
-                     for task in tasks)
-        n_batches = sum(1 for task in tasks if isinstance(task, list))
+        n_runs = sum(len(task) for task in tasks)
+        n_batches = sum(1 for task in tasks if len(task) > 1)
         workers = min(self.jobs, len(tasks))
         chunks = self._chunk_tasks(tasks, workers)
         workers = min(workers, len(chunks))
@@ -967,7 +916,7 @@ class ExperimentEngine:
             # Collect *every* failing key so one bad run doesn't mask
             # its siblings (worker tracebacks don't carry arguments) —
             # including every member of a failed replica batch.
-            for key in (task if isinstance(task, list) else [task]):
+            for key in task:
                 report.failures.append((key, exc))
 
         def land_outcomes(chunk, outcomes, deltas) -> None:
@@ -977,14 +926,9 @@ class ExperimentEngine:
                 if outcome[0] == "err":
                     fail_task(task, outcome[1])
                     continue
-                _tag, payload, seconds, fell_back, cached = outcome
-                if isinstance(task, list):
-                    self._finish_batch(task, payload, seconds,
-                                       fell_back, cached=cached)
-                    landed += len(task)
-                else:
-                    self._finish(task, payload, seconds, cached=cached)
-                    landed += 1
+                _tag, stats_list, seconds, cached = outcome
+                self._land(task, stats_list, seconds, cached)
+                landed += len(task)
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Bounded in-flight window: a thousand-run campaign must not
@@ -1058,8 +1002,7 @@ class ExperimentEngine:
             for chunk in leftovers:
                 for task in chunk:
                     if report.cancelled and submit_error is None:
-                        report.pending.extend(
-                            task if isinstance(task, list) else [task])
+                        report.pending.extend(task)
                     else:
                         fail_task(task, submit_error or RuntimeError(
                             "task was never submitted"))
@@ -1074,53 +1017,41 @@ class ExperimentEngine:
                 f"seed={key.seed}, scale={key.scale}, "
                 f"overrides={dict(key.overrides)})")
 
-    def _announce(self, key: RunKey) -> None:
+    def _run_serial(self, task: tuple[RunKey, ...]) -> None:
+        """Execute and land one task in this process (the serial path);
+        the task's own exception propagates."""
         if self.verbose:  # pragma: no cover - progress printing
+            key = task[0]
             scheme = getattr(key.scheme, "value", key.scheme)
+            batch = f" [batch of {len(task)}]" if len(task) > 1 else ""
             print(f"  running {workload_name(key.app)} x{key.n_cores} "
-                  f"{scheme} ...", flush=True)
+                  f"{scheme}{batch} ...", flush=True)
+        start = time.perf_counter()
+        stats_list = _execute_task(task, self.workload_store)
+        self._land(task, stats_list, time.perf_counter() - start, False)
 
-    def _announce_batch(self, group: list[RunKey]) -> None:
-        if self.verbose:  # pragma: no cover - progress printing
-            key = group[0]
-            scheme = getattr(key.scheme, "value", key.scheme)
-            print(f"  running {workload_name(key.app)} x{key.n_cores} "
-                  f"{scheme} [batch of {len(group)}] ...",
-                  flush=True)
-
-    def _finish(self, key: RunKey, stats: SimStats, seconds: float,
-                cached: bool = False) -> None:
-        """Land one result.  ``cached=True`` means the worker already
-        wrote the disk entry (chunked dispatch) — writing it again from
-        the parent would double every entry's serialization cost."""
-        self.memo[key] = stats
-        self.profile[key] = seconds
-        if not cached:
-            self._store_cached(key, stats)
-        if self._land_hook is not None:
-            self._land_hook(key, stats, seconds)
-        if self.verbose and self.jobs > 1:  # pragma: no cover
-            scheme = getattr(key.scheme, "value", key.scheme)
-            print(f"  [engine] done {workload_name(key.app)} "
-                  f"x{key.n_cores} {scheme} ({seconds:.1f}s)",
-                  flush=True)
-
-    def _finish_batch(self, group: list[RunKey], stats_list: list[SimStats],
-                      seconds: float, fell_back: bool,
-                      cached: bool = False) -> None:
-        """Land a replica batch: cache entries are written *per key* (no
-        format change), the batch wall-clock is attributed evenly, and a
-        fallback batch records width 1 so ``--profile`` tells the truth."""
-        width = 1 if fell_back else len(group)
-        if fell_back and not self._vector_warned:
-            self._vector_warned = True
-            print(f"  [engine] warning: replica batch of {len(group)} "
-                  f"fell back to scalar runs (unforkable machine)",
-                  flush=True)
-        share = seconds / len(group)
-        for key, stats in zip(group, stats_list):
-            self.batch_width[key] = width
-            self._finish(key, stats, share, cached=cached)
+    def _land(self, task: tuple[RunKey, ...], stats_list: list[SimStats],
+              seconds: float, cached: bool) -> None:
+        """Land a task's results *per key* (no cache format change): the
+        task's wall clock is attributed evenly over its keys and each
+        key records the width it ran at (1 = scalar).  ``cached=True``
+        means the worker already wrote the disk entries (chunked
+        dispatch) — writing them again from the parent would double
+        every entry's serialization cost."""
+        share = seconds / len(task)
+        for key, stats in zip(task, stats_list):
+            self.memo[key] = stats
+            self.profile[key] = share
+            self.batch_width[key] = len(task)
+            if not cached:
+                self._store_cached(key, stats)
+            if self._land_hook is not None:
+                self._land_hook(key, stats, share)
+            if self.verbose and self.jobs > 1:  # pragma: no cover
+                scheme = getattr(key.scheme, "value", key.scheme)
+                print(f"  [engine] done {workload_name(key.app)} "
+                      f"x{key.n_cores} {scheme} ({share:.1f}s)",
+                      flush=True)
 
     # ------------------------------------------------------------------
     # reporting

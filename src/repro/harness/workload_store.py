@@ -52,7 +52,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
 
-from repro.params import MachineConfig
+from repro.params import MachineConfig, env_flag
 from repro.workloads import get_workload, workload_fingerprint
 from repro.workloads.base import WORKLOAD_WIRE_FORMAT, WorkloadSpec
 from repro.workloads.registry import is_builtin_workload
@@ -72,12 +72,6 @@ def _env_capacity() -> int:
                          f"count, got {env!r}") from None
 
 
-def _env_mmap() -> bool:
-    env = os.environ.get("REPRO_MMAP")
-    if env is None or env == "":
-        return True
-    from repro.harness.engine import _env_flag
-    return _env_flag("REPRO_MMAP", env)
 
 _WORKLOADS_DIR = Path(__file__).resolve().parents[1] / "workloads"
 _TRACE_MODULE = Path(__file__).resolve().parents[1] / "trace.py"
@@ -137,7 +131,8 @@ class WorkloadStore:
         self.disabled = False
         self._lru_capacity = lru_capacity if lru_capacity is not None \
             else _env_capacity()
-        self._use_mmap = use_mmap if use_mmap is not None else _env_mmap()
+        self._use_mmap = (env_flag("REPRO_MMAP", True) if use_mmap is None
+                          else use_mmap)
         self._lru: OrderedDict[str, WorkloadSpec] = OrderedDict()
 
     def counters(self) -> dict[str, int]:

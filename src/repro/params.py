@@ -15,13 +15,36 @@ quantity that determines every overhead percentage in Chapter 6.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 #: Cache line size used throughout the paper (bytes).
 LINE_BYTES = 32
 
 #: Bytes of a log entry: PID + physical address + old line data (Sec 3.3.3).
 LOG_ENTRY_BYTES = 8 + LINE_BYTES
+
+
+def env_flag(name: str, default: Optional[bool]) -> Optional[bool]:
+    """Read the on/off environment variable ``name``.
+
+    Unset or empty gives ``default``.  Anything other than
+    1/0/on/off/true/false/yes/no (any case) is rejected with a one-line
+    error naming the variable: a typo like ``REPRO_VECTOR=fasle`` must
+    not silently pick either behaviour.  Lives here because both the
+    simulator and the harness import this module.
+    """
+    text = os.environ.get(name)
+    if not text:
+        return default
+    lower = text.strip().lower()
+    if lower in ("1", "on", "true", "yes"):
+        return True
+    if lower in ("0", "off", "false", "no"):
+        return False
+    raise ValueError(f"{name} must be one of 1/0/on/off/true/false/"
+                     f"yes/no, got {text!r}")
 
 
 class Scheme(enum.Enum):

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import copy
 import heapq
-import os
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.coherence.protocol import CoherenceEngine
 from repro.core.factory import build_scheme
 from repro.core.scheme_base import BaseScheme
 from repro.interconnect import Interconnect
 from repro.mem import MODIFIED, MainMemory, MemoryChannels, ReviveLog
-from repro.params import MachineConfig
+from repro.params import MachineConfig, env_flag
 from repro.sim.cores import Core
 from repro.sim.events import DurableCall
 from repro.sim.faults import FaultEvent, FaultInjector, FaultPlan
@@ -54,9 +53,8 @@ from repro.trace import (
 from repro.workloads.base import WorkloadSpec
 
 _EXEC = 0
-_CALL = 1      # legacy closure callback (out-of-tree schemes, tests)
-_DCALL = 2     # durable descriptor callback (fork-safe)
-_PAUSE = 3     # replica-batch pause sentinel (never observable)
+_DCALL = 1     # durable descriptor callback (fork-safe)
+_PAUSE = 2     # replica-batch pause sentinel (never observable)
 
 #: Sentinel seq base: more negative than any fault seq, so a pause
 #: fires before a same-time fault would in a true run (the fork then
@@ -73,35 +71,9 @@ class SimulationDeadlock(RuntimeError):
     """No runnable core remains while work is outstanding."""
 
 
-class UnforkableMachineError(RuntimeError):
-    """The machine holds state a fork cannot clone faithfully (e.g. a
-    pending closure callback scheduled via :meth:`Machine.schedule` by
-    an out-of-tree scheme); the caller must fall back to scalar runs."""
-
-
 #: Records fused per heap residency before a forced re-push (fairness
 #: backstop only; correctness never depends on it).
 DEFAULT_FUSE_QUANTUM = 256
-
-
-def _fastpath_default() -> bool:
-    """Resolve the ``REPRO_FASTPATH`` gate (default on).
-
-    Same strict on/off parsing as the harness ``REPRO_VECTOR`` idiom —
-    a typo like ``REPRO_FASTPATH=fasle`` must not silently pick either
-    behaviour — re-implemented here because ``repro.sim`` keeps zero
-    harness imports.
-    """
-    text = os.environ.get("REPRO_FASTPATH")
-    if text is None:
-        return True
-    lower = text.strip().lower()
-    if lower in ("1", "on", "true", "yes"):
-        return True
-    if lower in ("0", "off", "false", "no"):
-        return False
-    raise ValueError(f"REPRO_FASTPATH must be one of 1/0/on/off/true/"
-                     f"false/yes/no, got {text!r}")
 
 
 class Machine:
@@ -144,8 +116,8 @@ class Machine:
         # Inline private-hit servicing (the memory-system fast path):
         # None defers to REPRO_FASTPATH (default on).  Bit-identical
         # either way — tests/test_fastpath.py pins the equivalence.
-        self.fastpath = (_fastpath_default() if fastpath is None
-                         else bool(fastpath))
+        self.fastpath = (env_flag("REPRO_FASTPATH", True)
+                         if fastpath is None else bool(fastpath))
         # The hot loop only calls post_op once a core has executed
         # post_op_gate() instructions since its checkpoint (the gate is
         # owned by the scheme, next to post_op itself).  Schemes that
@@ -181,20 +153,14 @@ class Machine:
         heapq.heappush(self._heap,
                        (when, self._seq, _EXEC, core.pid, core.epoch))
 
-    def schedule(self, when: float, callback: Callable[[float], None]) -> None:
-        """Run ``callback(time)`` at simulated time ``when``.
-
-        Closure-based (legacy) entry point: still supported for
-        out-of-tree schemes and tests, but a machine with such a
-        callback pending cannot be forked (see :meth:`fork`); the
-        built-in schemes schedule through :meth:`schedule_call`.
-        """
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, _CALL, callback, None))
-
     def schedule_call(self, when: float, call: DurableCall) -> None:
-        """Run ``call.fire(self, time)`` at simulated time ``when``
-        (the fork-safe scheduling primitive)."""
+        """Run ``call.fire(self, time)`` at simulated time ``when``.
+
+        The machine's only scheduled-callback kind: a
+        :class:`DurableCall` names its target and method instead of
+        capturing objects, so a fork re-binds it to the clone's own
+        state.
+        """
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, _DCALL, call, None))
 
@@ -365,10 +331,7 @@ class Machine:
                         self.now = when
                     if when > limit:
                         raise self._cycle_limit_exceeded()
-                    if kind == _DCALL:
-                        a.fire(self, when)
-                    else:
-                        a(when)
+                    a.fire(self, when)
                     continue
                 if when > self.now:
                     self.now = when
@@ -559,15 +522,12 @@ class Machine:
             when, _, kind, a, _ = heapq.heappop(heap)
             if kind == _PAUSE:
                 return False
-            if kind == _CALL or kind == _DCALL:
+            if kind != _EXEC:
                 if when > self.now:
                     self.now = when
                 if when > limit:
                     raise self._cycle_limit_exceeded()
-                if kind == _DCALL:
-                    a.fire(self, when)
-                else:
-                    a(when)
+                a.fire(self, when)
         self._phase = "done"
         return True
 
@@ -579,16 +539,6 @@ class Machine:
                               f"site={core.block_site} ip={core.ip}")
         raise SimulationDeadlock("no runnable core; waiting: " +
                                  "; ".join(states))
-
-    # ------------------------------------------------------------------
-    # wiring helpers used by schemes and sync
-    # ------------------------------------------------------------------
-    def wake_core(self, core: Core, when: float) -> None:
-        """Unblock and reschedule a core at ``when``."""
-        core.blocked = None
-        core.block_site = None
-        core.time = max(core.time, when)
-        self.push_core(core)
 
     # ------------------------------------------------------------------
     # replica forking (vectorized campaign batches)
@@ -605,16 +555,9 @@ class Machine:
         themselves structurally (their ``__deepcopy__``), which keeps
         the bulk of the state out of generic ``copy.deepcopy``.  Pause
         sentinels are stripped — they belong to the parent's schedule.
-
-        Refuses (``UnforkableMachineError``) if a legacy closure
-        callback is pending: ``copy.deepcopy`` treats functions as
-        atomic, so a cloned closure would fire into the parent.  The
-        built-in schemes only schedule :class:`DurableCall`s.
+        Pending callbacks are :class:`DurableCall` descriptors, which
+        resolve their target on the clone when they fire.
         """
-        if any(entry[2] == _CALL for entry in self._heap):
-            raise UnforkableMachineError(
-                "pending closure callback (Machine.schedule); only "
-                "DurableCall-scheduled machines can fork")
         memo = {id(self.config): self.config,
                 id(self.workload): self.workload}
         for core in self.cores:
@@ -728,9 +671,6 @@ class Machine:
         if self.config.check_coherence:
             stats.verify_cycle_accounting()
         return stats
-
-    def unfinished_cores(self) -> list[int]:
-        return [c.pid for c in self.cores if not c.done]
 
     @property
     def finished(self) -> bool:

@@ -24,11 +24,10 @@ Soundness rests on three properties of the scalar kernel:
   fusion condition only reads ``heap[0][0]``); record fusing is
   parity-guaranteed for *any* break pattern (``fuse_quantum=1`` is the
   repo's golden reference), and the sentinel never advances the clock.
-* **Forks are faithful.**  All built-in scheduled callbacks are
-  :class:`~repro.sim.events.DurableCall` descriptors that re-bind to
-  the firing machine, so a fork's pending drains complete inside the
-  fork.  A pending legacy closure makes the machine unforkable and the
-  batch falls back to scalar runs (``UnforkableMachineError``).
+* **Forks are faithful.**  Every scheduled callback is a
+  :class:`~repro.sim.events.DurableCall` descriptor (the machine has no
+  other callback kind) that re-binds to the firing machine, so a
+  fork's pending drains complete inside the fork.
 * **Fault ordering is reproduced.**  A scalar run schedules faults
   first (lowest seqs), so at equal timestamps a fault beats any trace
   record; ``Machine.install_faults`` injects the fork's fault events
@@ -58,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.params import MachineConfig
-from repro.sim.machine import Machine, UnforkableMachineError
+from repro.sim.machine import Machine
 from repro.sim.stats import SimStats
 from repro.workloads.base import WorkloadSpec
 
@@ -67,8 +66,7 @@ try:  # numpy is an optional extra (``repro[vector]``)
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
 
-__all__ = ["have_numpy", "run_replica_batch", "BatchResult", "BatchReport",
-           "UnforkableMachineError"]
+__all__ = ["have_numpy", "run_replica_batch", "BatchResult", "BatchReport"]
 
 #: A replica's faults: the plain ``(time, pid)`` list a RunKey carries.
 FaultList = Sequence[tuple[float, int]]
@@ -79,12 +77,15 @@ def have_numpy() -> bool:
     return _np is not None
 
 
-#: Forking the leader costs a deep copy of the whole machine state
-#: (~10-15% of a full run's wall clock), so a replica only rides the
-#: leader when its shared prefix is worth more than the fork: replicas
-#: whose first divergence lands before this fraction of the estimated
-#: run length are run standalone through the ordinary scalar kernel
-#: instead — bit-identical either way, the threshold only moves cost.
+#: Forking the leader copies the whole machine state, so a replica only
+#: rides the leader when its shared prefix is worth more than the fork:
+#: replicas whose first divergence lands before this fraction of the
+#: estimated run length are run standalone through the ordinary scalar
+#: kernel instead — bit-identical either way, the threshold only moves
+#: cost.  A fork costs a few percent of a run (the figures-cold
+#: benchmark plan's 25 forks took 0.098 s of a ~10 s pass on a 2-vCPU
+#: KVM guest); the fraction was set when forks cost ~10-15% and has not
+#: been re-tuned against the cheaper fork.
 SPILL_THRESHOLD_FRACTION = 0.2
 
 
@@ -166,9 +167,8 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     (``ExperimentEngine._batch_key``) is responsible for only grouping
     configs whose differences are declared invariant.
 
-    Raises :class:`UnforkableMachineError` if the machine cannot be
-    forked (pending closure callbacks) and ``ImportError`` without
-    numpy; callers fall back to scalar runs in both cases.
+    Raises ``ImportError`` without numpy; the engine never plans a
+    batch then.
     """
     if _np is None:
         raise ImportError("numpy is required for the vectorized "

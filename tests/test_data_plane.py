@@ -157,6 +157,14 @@ class TestSpecFromBuffer:
             == Machine(config, copied).run() \
             == Machine(config, built).run()
 
+    def test_mmap_env_knob(self, monkeypatch, tmp_path):
+        for text, expected in (("", True), ("off", False), ("YES", True)):
+            monkeypatch.setenv("REPRO_MMAP", text)
+            assert WorkloadStore(tmp_path)._use_mmap is expected
+        monkeypatch.setenv("REPRO_MMAP", "fasle")
+        with pytest.raises(ValueError, match="REPRO_MMAP.*'fasle'"):
+            WorkloadStore(tmp_path)
+
 
 class TestStoreLRU:
     def test_second_load_is_lru_hit(self, tmp_path):
@@ -234,17 +242,17 @@ class TestChunkedDispatch:
     def test_affinity_groups_share_a_chunk(self):
         eng = ExperimentEngine(jobs=2, use_disk_cache=False,
                                chunk_size=2)
-        chunks = eng._chunk_tasks([KEY_A1, KEY_B1, KEY_A2, KEY_B2],
-                                  workers=2)
-        assert chunks == [[KEY_A1, KEY_A2], [KEY_B1, KEY_B2]]
+        chunks = eng._chunk_tasks([(KEY_A1,), (KEY_B1,), (KEY_A2,),
+                                   (KEY_B2,)], workers=2)
+        assert chunks == [[(KEY_A1,), (KEY_A2,)], [(KEY_B1,), (KEY_B2,)]]
 
     def test_adaptive_size_bounds(self):
         eng = ExperimentEngine(jobs=4, use_disk_cache=False)
-        tasks = [RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, seed,
-                        SCALE) for seed in range(100)]
+        tasks = [(RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, seed,
+                         SCALE),) for seed in range(100)]
         chunks = eng._chunk_tasks(tasks, workers=4)
-        assert sorted(key.seed for chunk in chunks for key in chunk) \
-            == list(range(100))
+        assert sorted(key.seed for chunk in chunks for task in chunk
+                      for key in task) == list(range(100))
         assert all(1 <= len(chunk) <= 32 for chunk in chunks)
         assert len(chunks) >= 2 * 4          # window keeps workers fed
 
@@ -343,7 +351,7 @@ class TestBatchWidening:
         keys = _l_keys(Scheme.GLOBAL)
         eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
         tasks = eng._plan_tasks(list(keys))
-        assert tasks == [keys]               # one batch spanning all L
+        assert tasks == [tuple(keys)]        # one batch spanning all L
 
     def test_fig_l_sensitivity_plan_batches_span_all_l(self):
         pytest.importorskip("numpy")
@@ -356,7 +364,7 @@ class TestBatchWidening:
         tasks = eng._plan_tasks(list(dict.fromkeys(keys)))
         l_values = {key.overrides["detection_latency"] for key in keys}
         assert len(l_values) == 3
-        global_batches = [task for task in tasks if isinstance(task, list)
+        global_batches = [task for task in tasks if len(task) > 1
                           and task[0].scheme is Scheme.GLOBAL]
         assert global_batches
         widest = max(global_batches, key=len)
@@ -367,8 +375,7 @@ class TestBatchWidening:
     def test_widened_batch_parity(self, fault):
         pytest.importorskip("numpy")
         keys = _l_keys(Scheme.GLOBAL, fault=fault)
-        stats_list, fell_back = execute_batch(list(keys))
-        assert not fell_back
+        stats_list = execute_batch(tuple(keys))
         for key, stats in zip(keys, stats_list):
             expect = execute_run(key)
             assert stats == expect, key

@@ -173,6 +173,76 @@ class TestParallelFailures:
         assert not fresh.profile
 
 
+def _shape_keys():
+    """Two keys that form a replica batch and two lone keys."""
+    from repro.sim.faults import FaultPlan
+
+    batch = [RunKey("blackscholes", 4, Scheme.REBOUND, 1.5, 1, 300,
+                    fault_plan=FaultPlan.single(at))
+             for at in (5000.0, 9000.0)]
+    return batch, [MATRIX[1], MATRIX[2]]
+
+
+class TestTaskShape:
+    """Every planned task is a tuple of keys; landing attributes each
+    task's wall time and width to its keys (the per-key ``profile`` and
+    ``batch_width`` that ``--profile`` and the benchmark read)."""
+
+    def test_plan_is_tuples_with_one_tuples_for_lone_keys(self):
+        pytest.importorskip("numpy")
+        batch, lone = _shape_keys()
+        keys = [lone[0], batch[0], lone[1], batch[1]]
+        eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
+        tasks = eng._plan_tasks(keys)
+        assert all(type(task) is tuple for task in tasks)
+        assert tasks == [(lone[0],), tuple(batch), (lone[1],)]
+        scalar = ExperimentEngine(jobs=1, use_disk_cache=False,
+                                  vector=False)
+        assert scalar._plan_tasks(keys) == [(key,) for key in keys]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_computed_key_records_its_task_width(self, jobs):
+        pytest.importorskip("numpy")
+        batch, lone = _shape_keys()
+        eng = ExperimentEngine(jobs=jobs, use_disk_cache=False,
+                               vector=True)
+        eng.run_many(batch + lone)
+        assert set(eng.batch_width) == set(eng.profile) \
+            == set(batch + lone)
+        assert all(eng.batch_width[key] == 2 for key in batch)
+        assert all(eng.batch_width[key] == 1 for key in lone)
+
+    def test_shares_of_a_task_sum_to_its_wall_time(self, monkeypatch):
+        pytest.importorskip("numpy")
+        from types import SimpleNamespace
+
+        clock = [0.0]
+
+        def costing(real, cost):
+            def timed(*args):
+                clock[0] += cost
+                return real(*args)
+            return timed
+
+        monkeypatch.setattr(engine_mod, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(engine_mod, "execute_run",
+                            costing(engine_mod.execute_run, 2.0))
+        monkeypatch.setattr(engine_mod, "execute_batch",
+                            costing(engine_mod.execute_batch, 3.0))
+        batch, lone = _shape_keys()
+        eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
+        eng.run_many(batch + lone)
+        assert sum(eng.profile[key] for key in batch) == 3.0
+        assert all(eng.profile[key] == 2.0 for key in lone)
+        # The worker entry point reports one outcome per task, with the
+        # stats of every key and the task's own wall time.
+        outcomes, _ = engine_mod._run_chunk([tuple(batch), (lone[0],)])
+        assert [(tag, len(stats), seconds, cached)
+                for tag, stats, seconds, cached in outcomes] \
+            == [("ok", 2, 3.0, False), ("ok", 1, 2.0, False)]
+
+
 class TestProfileRows:
     def test_rows_carry_cluster_and_overrides(self):
         eng = ExperimentEngine(jobs=1, use_disk_cache=False)

@@ -27,8 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.params import MachineConfig, Scheme
-from repro.sim.machine import Machine, _fastpath_default
+from repro.params import MachineConfig, Scheme, env_flag
+from repro.sim.machine import Machine
 from repro.sim.stats import SimStats
 from repro.sim.vector import have_numpy, run_replica_batch
 from repro.workloads import get_workload, inject_output_io
@@ -180,7 +180,7 @@ def test_random_workloads_preserve_parity(seed, n_cores, scheme, app,
 class TestEnvKnob:
     def test_unset_defaults_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        assert _fastpath_default() is True
+        assert env_flag("REPRO_FASTPATH", True) is True
 
     @pytest.mark.parametrize("text,expected", [
         ("1", True), ("on", True), ("true", True), ("YES", True),
@@ -188,15 +188,16 @@ class TestEnvKnob:
     ])
     def test_spellings(self, monkeypatch, text, expected):
         monkeypatch.setenv("REPRO_FASTPATH", text)
-        assert _fastpath_default() is expected
+        assert env_flag("REPRO_FASTPATH", True) is expected
         config = _config(2, Scheme.NONE)
         machine = Machine(config, _spec(2, config))
         assert machine.fastpath is expected
 
     def test_garbage_rejected_naming_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "fasle")
+        config = _config(2, Scheme.NONE)
         with pytest.raises(ValueError, match="REPRO_FASTPATH.*'fasle'"):
-            _fastpath_default()
+            Machine(config, _spec(2, config))
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "0")

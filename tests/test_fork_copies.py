@@ -11,11 +11,13 @@ trusts them to agree), and every set keeps its LRU order.
 from __future__ import annotations
 
 import copy
+import pickle
 
 import pytest
 
 from repro.mem import EXCLUSIVE, MODIFIED
 from repro.params import MachineConfig, Scheme
+from repro.sim.events import DurableCall
 from repro.sim.machine import Machine
 from repro.workloads import get_workload
 
@@ -122,3 +124,39 @@ def test_forks_finish_like_an_uninterrupted_run(paused):
     reference = Machine(paused.config, paused.workload).run()
     assert first.finalize() == reference
     assert second.finalize() == reference
+
+
+def _live_drains(machine):
+    """Pending delayed-writeback completions that still have work to do
+    (their checkpoint is the core's open Delayed one)."""
+    return [call for _, _, _, call, _ in machine._heap
+            if isinstance(call, DurableCall) and call.target == "scheme"
+            and call.method == "_complete_drain"
+            and machine.cores[call.args[0]].delayed_ckpt_id
+            == call.args[1]]
+
+
+def test_pending_scheme_call_fires_into_the_clone_only():
+    config = MachineConfig.scaled(n_cores=4, scheme=Scheme.REBOUND,
+                                  scale=150)
+    assert config.scheme.delayed_writebacks
+    spec = get_workload("ocean", 4, config, intervals=1.8, seed=1)
+    parent = Machine(config, spec)
+    parent.start()
+    pause = 0.0
+    while not _live_drains(parent):
+        pause += config.checkpoint_interval / 16
+        assert parent.advance(pause_at=pause), "no drain was ever pending"
+    now, heap = parent.now, list(parent._heap)
+    state = pickle.dumps(parent.scheme)   # reaches the whole machine
+    clone = parent.fork()
+    assert not clone.advance()
+    finished = clone.finalize()
+    assert parent.now == now
+    assert parent._heap == heap
+    assert pickle.dumps(parent.scheme) == state
+    assert _live_drains(parent)
+    assert not parent.advance()
+    reference = Machine(config, spec).run()
+    assert finished == reference
+    assert parent.finalize() == reference

@@ -10,9 +10,9 @@ bit-identical to a scalar ``Machine.run`` of the same (config,
 workload, faults), for every registered scheme, with fault campaigns,
 output-I/O injection and cluster mode in the mix.  The engine-level
 grouping (``ExperimentEngine`` batching same-workload RunKeys) is held
-to the same standard, and every fallback edge (no numpy, legacy closure
-callbacks, ``REPRO_VECTOR=0``) must land on the scalar path silently
-producing the same results.
+to the same standard, and both ways of turning batching off (no numpy,
+``REPRO_VECTOR=0``) must land on the scalar path producing the same
+results.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.engine import ExperimentEngine, RunKey, execute_batch
+from repro.harness.engine import ExperimentEngine, RunKey
 from repro.harness.experiments import _campaign_plans
 from repro.harness.runner import Runner
 from repro.params import MachineConfig, Scheme
 from repro.sim.faults import FaultPlan
-from repro.sim.machine import Machine, UnforkableMachineError
+from repro.sim.machine import Machine
 from repro.sim.stats import CampaignSummary, percentile
 from repro.sim.vector import have_numpy, run_replica_batch
 from repro.workloads import get_workload, inject_output_io
@@ -224,15 +224,6 @@ def test_random_forced_spills_preserve_parity(spill_fractions):
 
 # -- fallback edges ---------------------------------------------------------
 
-def test_legacy_closure_makes_machine_unforkable():
-    config = _config(4, Scheme.REBOUND)
-    machine = Machine(config, _spec(4, config))
-    machine.start()
-    machine.schedule(machine.now + 10.0, lambda when: None)
-    with pytest.raises(UnforkableMachineError):
-        machine.fork()
-
-
 def _engine_keys(n_plans=3):
     keys = [RunKey(app=APP, n_cores=4, scheme=Scheme.REBOUND,
                    intervals=INTERVALS, seed=1, scale=SCALE,
@@ -242,22 +233,6 @@ def _engine_keys(n_plans=3):
     keys.append(RunKey(app=APP, n_cores=4, scheme=Scheme.REBOUND,
                        intervals=INTERVALS, seed=1, scale=SCALE))
     return keys
-
-
-def test_execute_batch_falls_back_on_unforkable(monkeypatch):
-    import repro.sim.vector as vector
-
-    def raiser(*args, **kwargs):
-        raise UnforkableMachineError("pending closure callback")
-
-    monkeypatch.setattr(vector, "run_replica_batch", raiser)
-    keys = _engine_keys()
-    stats_list, fell_back = execute_batch(keys)
-    assert fell_back
-    for key, stats in zip(keys, stats_list):
-        assert_stats_equal(
-            _scalar(resolve := _config(4, Scheme.REBOUND),
-                    _spec(4, resolve), key.fault_list() or []), stats)
 
 
 def test_engine_without_numpy_warns_and_matches(monkeypatch, capsys):
@@ -290,7 +265,7 @@ def test_engine_batches_match_scalar_engine(monkeypatch):
     for key in keys:
         assert_stats_equal(res_s[key], res_v[key])
         assert vec.batch_width[key] == width
-        assert key not in scal.batch_width
+        assert scal.batch_width[key] == 1
     # batched rows carry their width in the --profile table
     assert all(row[7] == width for row in vec.profile_rows())
     assert all(row[7] == 1 for row in scal.profile_rows())
