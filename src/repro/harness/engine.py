@@ -1082,6 +1082,6 @@ class ExperimentEngine:
                          faults,
                          key.cluster,
                          overrides,
-                         self.batch_width.get(key, 1),
+                         self.batch_width[key],
                          f"{seconds:.2f}"])
         return rows

@@ -72,7 +72,6 @@ def _env_capacity() -> int:
                          f"count, got {env!r}") from None
 
 
-
 _WORKLOADS_DIR = Path(__file__).resolve().parents[1] / "workloads"
 _TRACE_MODULE = Path(__file__).resolve().parents[1] / "trace.py"
 

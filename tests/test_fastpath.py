@@ -180,7 +180,8 @@ def test_random_workloads_preserve_parity(seed, n_cores, scheme, app,
 class TestEnvKnob:
     def test_unset_defaults_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        assert env_flag("REPRO_FASTPATH", True) is True
+        config = _config(2, Scheme.NONE)
+        assert Machine(config, _spec(2, config)).fastpath is True
 
     @pytest.mark.parametrize("text,expected", [
         ("1", True), ("on", True), ("true", True), ("YES", True),
