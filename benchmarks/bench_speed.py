@@ -356,8 +356,9 @@ def _measure_engine() -> dict:
     future per task, all submitted upfront (deep executor queue),
     drained with ``wait(FIRST_COMPLETED)``, every worker run paying a
     fresh disk read + parse of the spec.  The measured leg is the
-    shipped ``ExperimentEngine`` default: affinity-grouped chunks
-    through a bounded submission window, specs served from the
+    shipped ``ExperimentEngine`` default: cost-ordered chunks that
+    shrink with the remaining estimated cost (single tasks at the
+    tail) through a bounded submission window, specs served from the
     worker-side LRU.  Both legs are min-of-REPEATS wall clocks; the
     warm single-run cost ``t_run`` (measured in-process against an
     LRU-serving store) is subtracted so the per-run overheads compare

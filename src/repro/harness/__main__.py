@@ -19,9 +19,11 @@ Options::
     --cache-dir DIR    result cache location (default benchmarks/.cache)
     --no-cache         bypass the persistent result cache
     --no-vector        force scalar campaign runs (REPRO_VECTOR=0)
-    --chunk-size N     tasks per dispatch chunk (REPRO_CHUNK; adaptive)
-    --profile          print a per-run wall-clock table and the
-                       aggregated workload-store counters at the end
+    --chunk-size N     pin the tasks per dispatch chunk (REPRO_CHUNK;
+                       default: cost-guided, shrinking chunks)
+    --profile          print a per-run wall-clock table, the aggregated
+                       workload-store counters and the worker-pool
+                       utilisation at the end
 
 Fault campaigns get their own subcommand (see ``campaign --help``)::
 
@@ -116,8 +118,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         help="force scalar campaign runs (same as "
                              "REPRO_VECTOR=0)")
     parser.add_argument("--chunk-size", type=int, default=None,
-                        help="tasks packed per parallel dispatch chunk "
-                             "(default: REPRO_CHUNK or adaptive)")
+                        help="pin the tasks packed per parallel dispatch "
+                             "chunk (default: REPRO_CHUNK, else chunks "
+                             "shrink with the remaining estimated cost, "
+                             "most expensive tasks first)")
 
 
 def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
@@ -650,6 +654,8 @@ def main(argv: list[str] | None = None) -> int:
               f"invalidations={mem['invalidations']}, "
               f"accesses={accesses}"
               if accesses else "[memsys] no completed runs in-process")
+        if engine.pool_usage.offered_s:
+            print(f"[engine] {engine.pool_usage.describe()}")
     return 0
 
 

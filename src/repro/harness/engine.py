@@ -25,19 +25,25 @@ read-only views of the compiled-trace IR instead of re-running
 ``SyntheticWorkload`` per run.  ``--no-cache`` (``REPRO_NO_CACHE=1``)
 disables it along with the result cache.
 
-Chunked dispatch: ``_run_parallel`` does not submit one pool future per
-task — per-future overhead (pickling a RunKey, a result round-trip, an
-executor wakeup) would dominate sub-second simulations.  Tasks are
-packed into per-worker *chunks* (adaptive size, ``REPRO_CHUNK`` / the
-``chunk_size`` argument to pin it), sorted so tasks sharing a workload
-digest land in the same chunk — together with the store's per-process
-spec LRU (``REPRO_WORKER_LRU``) a worker maps and parses each workload
-once for its whole chunk.  Workers write completed results into the
-disk cache themselves, so a chunk's finished siblings are persisted
-even when a later task in the chunk raises; every failing task still
-reports its own :class:`RunKey`.  Submission keeps a bounded in-flight
-window (2 chunks per worker) so thousand-run campaigns don't hold every
-pending future alive at once.
+Cost-guided chunked dispatch: ``_dispatch`` does not submit one pool
+future per task — per-future overhead (pickling a RunKey, a result
+round-trip, an executor wakeup) would dominate sub-second simulations.
+Each task gets a cost estimate (its workload-store entry size times its
+width), the plan is submitted most expensive first, and each chunk
+takes a shrinking share of the remaining estimated cost (guided
+self-scheduling): the heavy tasks start while every worker is busy, and
+the last chunks are single cheap tasks that fill the tail evenly.
+``REPRO_CHUNK`` / the ``chunk_size`` argument pins a fixed number of
+tasks per chunk instead.  Equal-cost tasks sharing a workload digest
+stay adjacent — together with the store's per-process spec LRU
+(``REPRO_WORKER_LRU``) a worker maps and parses each workload once for
+its whole chunk.  Workers write completed results into the disk cache
+themselves, so a chunk's finished siblings are persisted even when a
+later task in the chunk raises; every failing task still reports its
+own :class:`RunKey`.  Submission keeps a bounded in-flight window (2
+chunks per worker) so thousand-run campaigns don't hold every pending
+future alive at once.  A plan of one task runs in-process: a pool would
+only add start-up and a pickled result round-trip.
 
 Vectorized campaign batches: ``run_many`` groups the missing keys by
 everything except their faults — (workload, cores, scheme, intervals,
@@ -61,17 +67,19 @@ settings)::
     REPRO_CACHE_DIR   result cache location (default: benchmarks/.cache)
     REPRO_NO_CACHE    set to 1 to bypass the disk cache entirely
     REPRO_VECTOR      0 forces scalar campaign runs; unset/1 = auto
-    REPRO_CHUNK       tasks per dispatch chunk (default: adaptive)
+    REPRO_CHUNK       tasks per dispatch chunk (default: cost-guided)
     REPRO_WORKER_LRU  per-process loaded-workload LRU size (default 16)
     REPRO_MMAP        0 forces copying workload loads; unset/1 = mmap
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
 import pickle
+import statistics
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -183,10 +191,20 @@ def resolve_config(key: RunKey) -> MachineConfig:
     """The fully resolved :class:`MachineConfig` of a run (scaled base
     plus the key's overrides) — the workload-store address depends on
     it, so planning and execution share one derivation."""
-    config = MachineConfig.scaled(n_cores=key.n_cores, scheme=key.scheme,
-                                  scale=key.scale,
-                                  dep_cluster_size=key.cluster)
-    return key.overrides.apply(config)
+    return _resolve_config(key.n_cores, key.scheme, key.scale, key.cluster,
+                           key.overrides)
+
+
+@functools.lru_cache(maxsize=256)
+def _resolve_config(n_cores: int, scheme: Scheme, scale: int, cluster: int,
+                    overrides: Overrides) -> MachineConfig:
+    # Memoized: the parent derives every key's config to address the
+    # workload store (prebuild, dispatch cost) and every worker again to
+    # run it, and keys of one plan share a handful of configs.  The
+    # result is a frozen dataclass, so runs may share the instance.
+    config = MachineConfig.scaled(n_cores=n_cores, scheme=scheme,
+                                  scale=scale, dep_cluster_size=cluster)
+    return overrides.apply(config)
 
 
 def execute_run(key: RunKey,
@@ -453,6 +471,37 @@ class DispatchReport:
 
 
 @dataclass
+class PoolUsage:
+    """How busy the worker pools were, summed over dispatches.
+
+    ``busy_s`` adds up the per-task seconds the workers reported;
+    ``offered_s`` adds up each dispatch's worker count times its wall
+    clock (pool start-up to shut-down), so ``busy_s / offered_s`` is
+    the share of worker time spent simulating — the rest is start-up,
+    IPC and workers idling at the end of a plan.
+    """
+
+    busy_s: float = 0.0
+    offered_s: float = 0.0
+    wall_s: float = 0.0
+    workers: int = 0
+
+    def add(self, other: "PoolUsage") -> None:
+        self.busy_s += other.busy_s
+        self.offered_s += other.offered_s
+        self.wall_s += other.wall_s
+        self.workers = max(self.workers, other.workers)
+
+    @property
+    def fraction(self) -> float:
+        return self.busy_s / self.offered_s if self.offered_s else 0.0
+
+    def describe(self) -> str:
+        return (f"pool busy {self.fraction:.0%} ({self.workers} workers, "
+                f"{self.wall_s:.2f} s)")
+
+
+@dataclass
 class StreamReport:
     """Result of :meth:`ExperimentEngine.run_stream`.
 
@@ -538,6 +587,8 @@ class ExperimentEngine:
         #: Workload-store counter deltas shipped back by pool workers
         #: (:meth:`store_counters` folds the parent store on top).
         self._worker_counters: dict[str, int] = {}
+        #: Worker-pool utilisation over this session's dispatches.
+        self.pool_usage = PoolUsage()
 
     # ------------------------------------------------------------------
     # disk cache
@@ -602,7 +653,7 @@ class ExperimentEngine:
                 missing.append(key)
         self._prepare_workloads(missing)
         tasks = self._plan_tasks(missing)
-        if len(missing) > 1 and self.jobs > 1:
+        if len(tasks) > 1 and self.jobs > 1:
             self._run_parallel(tasks, len(missing))
         else:
             for task in tasks:
@@ -660,7 +711,7 @@ class ExperimentEngine:
         tasks = self._plan_tasks(missing)
         self._land_hook = hook
         try:
-            if len(missing) > 1 and self.jobs > 1:
+            if len(tasks) > 1 and self.jobs > 1:
                 sub = self._dispatch(tasks, should_cancel=should_cancel)
                 report.failures.extend(sub.failures)
                 report.pending.extend(sub.pending)
@@ -811,28 +862,72 @@ class ExperimentEngine:
         return (workload_name(key.app), key.n_cores, key.intervals,
                 key.seed)
 
-    def _chunk_tasks(self, tasks: list, workers: int) -> list[list]:
-        """Pack the plan into dispatch chunks.
+    def _task_costs(self, tasks: list, affinity: list) -> list:
+        """Estimated cost of each task: the size in bytes of its
+        workload-store entry times its width.  Entry size tracks the
+        total trace records, so it separates apps and core counts.  A
+        task whose entry size is unknown (store bypassed, or a
+        single-use workload its worker will build) costs the median
+        known cost, or 1.0 when none is known.  Only ``stat`` calls:
+        the estimate never loads an entry or moves a store counter."""
+        sizes: dict = {}
+        costs: list = []
+        for task, ident in zip(tasks, affinity):
+            # A str affinity is a store digest; the build-parameter
+            # fallback names no entry.
+            if isinstance(ident, str) and ident not in sizes:
+                path = self.workload_store.path_for(ident)
+                try:
+                    sizes[ident] = os.stat(path).st_size
+                except OSError:
+                    sizes[ident] = None
+            size = sizes.get(ident)
+            costs.append(None if size is None else size * len(task))
+        known = [cost for cost in costs if cost is not None]
+        fallback = statistics.median(known) if known else 1.0
+        return [fallback if cost is None else cost for cost in costs]
 
-        Size: ``chunk_size`` when pinned, else adaptive — about four
-        chunks per worker (capped at 32 tasks) so the pool stays
-        balanced when task costs vary, without falling back into
-        one-future-per-task overhead.  Order: stable-sorted so tasks
-        with the same workload affinity are adjacent (first-seen group
-        order), maximizing each worker's store-LRU hit rate; within a
-        group the submission order is preserved.
+    def _chunk_tasks(self, tasks: list, workers: int) -> list[list]:
+        """Pack the plan into dispatch chunks, most expensive first.
+
+        Order: descending estimated cost (:meth:`_task_costs`); ties
+        keep first-seen workload-affinity order, so same-workload tasks
+        stay adjacent for the worker's store LRU, and submission order
+        within a group.  Size: ``chunk_size`` tasks when pinned, else
+        guided self-scheduling — each chunk targets the remaining
+        estimated cost over four chunks per worker, holds at most 32
+        tasks and never costs more than the chunk before it, so the
+        heavy tasks start first and the last chunks are single cheap
+        tasks that keep every worker busy to the end.
         """
-        size = self.chunk_size
-        if size is None:
-            size = min(32, max(1, -(-len(tasks) // (workers * 4))))
+        affinity = [self._affinity_key(task) for task in tasks]
+        costs = self._task_costs(tasks, affinity)
         first_seen: dict = {}
-        for task in tasks:
-            first_seen.setdefault(self._affinity_key(task),
-                                  len(first_seen))
-        ordered = sorted(tasks, key=lambda task:
-                         first_seen[self._affinity_key(task)])
-        return [ordered[i:i + size]
-                for i in range(0, len(ordered), size)]
+        for ident in affinity:
+            first_seen.setdefault(ident, len(first_seen))
+        order = sorted(range(len(tasks)), key=lambda i:
+                       (-costs[i], first_seen[affinity[i]]))
+        if self.chunk_size is not None:
+            size = self.chunk_size
+            return [[tasks[i] for i in order[start:start + size]]
+                    for start in range(0, len(order), size)]
+        chunks: list[list] = []
+        remaining = sum(costs)
+        limit = remaining / (workers * 4)
+        chunk: list = []
+        chunk_cost = 0
+        for i in order:
+            if chunk and (len(chunk) == 32
+                          or chunk_cost + costs[i] > limit):
+                chunks.append(chunk)
+                remaining -= chunk_cost
+                limit = min(chunk_cost, remaining / (workers * 4))
+                chunk, chunk_cost = [], 0
+            chunk.append(tasks[i])
+            chunk_cost += costs[i]
+        if chunk:
+            chunks.append(chunk)
+        return chunks
 
     def _merge_worker_counters(self, deltas: Optional[dict]) -> None:
         if not deltas:
@@ -895,7 +990,8 @@ class ExperimentEngine:
         the memo/cache, and re-raising with a one-line
         partial-progress note — Ctrl-C on a campaign keeps what it
         paid for, and the service's cancel path reuses the same
-        machinery.
+        machinery.  A completed dispatch adds its worker-busy seconds
+        and wall clock to ``pool_usage``.
         """
         n_runs = sum(len(task) for task in tasks)
         n_batches = sum(1 for task in tasks if len(task) > 1)
@@ -910,6 +1006,7 @@ class ExperimentEngine:
             if self.workload_store is not None else None
         cache_root = str(self.cache_dir) if self.use_disk_cache else None
         report = DispatchReport()
+        usage = PoolUsage(workers=workers)
         landed = 0
 
         def fail_task(task, exc: BaseException) -> None:
@@ -928,8 +1025,10 @@ class ExperimentEngine:
                     continue
                 _tag, stats_list, seconds, cached = outcome
                 self._land(task, stats_list, seconds, cached)
+                usage.busy_s += seconds
                 landed += len(task)
 
+        start = time.perf_counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Bounded in-flight window: a thousand-run campaign must not
             # hold a future (and its pickled result) per task — two
@@ -1006,6 +1105,11 @@ class ExperimentEngine:
                     else:
                         fail_task(task, submit_error or RuntimeError(
                             "task was never submitted"))
+        usage.wall_s = time.perf_counter() - start
+        usage.offered_s = workers * usage.wall_s
+        self.pool_usage.add(usage)
+        if self.verbose:  # pragma: no cover - progress printing
+            print(f"  [engine] {usage.describe()}", flush=True)
         return report
 
     @staticmethod

@@ -185,8 +185,9 @@ class CampaignService:
     an engine — from a different process than the server, or with no
     server running at all.  Server-side operations (``serve`` /
     ``run_job`` / ``replay``) execute jobs through the wrapped
-    :class:`~repro.harness.engine.ExperimentEngine`: chunked affinity
-    dispatch across the worker pool, worker-side cache writes,
+    :class:`~repro.harness.engine.ExperimentEngine`: cost-guided
+    chunked dispatch across the worker pool (most expensive tasks
+    first, shrinking chunks), worker-side cache writes,
     vectorized replica batches — the whole batch data plane, reused
     per job.
     """

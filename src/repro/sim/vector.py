@@ -84,8 +84,13 @@ def have_numpy() -> bool:
 #: kernel instead — bit-identical either way, the threshold only moves
 #: cost.  A fork costs a few percent of a run (the figures-cold
 #: benchmark plan's 25 forks took 0.098 s of a ~10 s pass on a 2-vCPU
-#: KVM guest); the fraction was set when forks cost ~10-15% and has not
-#: been re-tuned against the cheaper fork.
+#: KVM guest).  Re-tuned against that cheaper fork on the same guest
+#: (repository benchmark, ``wall_s`` median of 3 interleaved runs, seeds
+#: 1 / 61): campaign-serve 4.78 / 5.02 s at 0.2, 5.93 / 5.30 s at 0.1,
+#: 5.74 / 5.36 s at 0.05; figures-cold 10.60 / 12.20 s at 0.2,
+#: 10.23 / 9.63 s at 0.1, 10.34 / 10.78 s at 0.05, with runs of one
+#: value spreading by up to 4 s.  No value beat 0.2 by more than
+#: that spread and the smaller ones slowed campaign-serve, so it stays.
 SPILL_THRESHOLD_FRACTION = 0.2
 
 

@@ -6,8 +6,9 @@ Three compounding optimizations share one correctness bar — bit-identical
 * ``CompiledTrace.from_buffer`` / ``WorkloadSpec.from_buffer`` build
   read-only memoryview columns over a serialized blob (the store mmaps
   entries instead of copying them);
-* ``_run_parallel`` packs tasks into per-worker chunks (affinity-sorted
-  by workload digest, workers persist their own cache entries);
+* ``_dispatch`` packs tasks into per-worker chunks (most expensive
+  first by workload-store entry size, shrinking chunks, same-workload
+  tasks adjacent; workers persist their own cache entries);
 * ``_batch_key`` widens replica batches across overrides of config
   fields the scheme declared fault-free invariant, so a
   detection-latency sweep under Global shares one leader walk.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.harness.engine as engine_mod
 from repro.harness.engine import (
     ExperimentEngine,
     RunKey,
@@ -313,6 +315,164 @@ class TestChunkedDispatch:
                                use_disk_cache=False, chunk_size=2)
         eng.run_many([KEY_A1, KEY_A2, KEY_B1])
         assert list(tmp_path.iterdir()) == []
+
+
+#: Three store entries of different sizes: (app, cores), smallest first.
+PLAN_WORKLOADS = (("blackscholes", 2), ("water_sp", 2), ("blackscholes", 4))
+PLAN_SCHEMES = (Scheme.NONE, Scheme.GLOBAL, Scheme.REBOUND)
+
+
+def _plan_keys(app, n_cores, n):
+    """``n`` distinct keys sharing one workload-store entry."""
+    return [RunKey(app, n_cores, PLAN_SCHEMES[i % 3], INTERVALS, 1, SCALE,
+                   overrides={"detection_latency": 2_000 * (i // 3 + 1)})
+            for i in range(n)]
+
+
+def _store_engine(tmp_path, workloads=PLAN_WORKLOADS, **kwargs):
+    """A store-backed engine with an entry built for each workload."""
+    eng = ExperimentEngine(jobs=2, cache_dir=tmp_path, use_disk_cache=True,
+                           **kwargs)
+    for app, n_cores in workloads:
+        key = _plan_keys(app, n_cores, 1)[0]
+        eng.workload_store.ensure(app, n_cores, resolve_config(key),
+                                  INTERVALS, 1)
+    return eng
+
+
+def _entry_size(eng, key):
+    store = eng.workload_store
+    digest = store.digest_for(key.app, key.n_cores, resolve_config(key),
+                              key.intervals, key.seed)
+    path = store.path_for(digest)
+    return path.stat().st_size if path.exists() else None
+
+
+def _mixed_tasks(n_per_workload=12):
+    """Scalar tasks and replica-width tasks of every plan workload,
+    submitted smallest entry first."""
+    tasks = []
+    for app, n_cores in PLAN_WORKLOADS:
+        keys = _plan_keys(app, n_cores, n_per_workload)
+        tasks.extend((key,) for key in keys[:n_per_workload // 2])
+        rest = keys[n_per_workload // 2:]
+        tasks.extend(tuple(rest[i:i + 3]) for i in range(0, len(rest), 3))
+    return tasks
+
+
+class TestCostGuidedPlan:
+    def test_largest_entries_first(self, tmp_path):
+        eng = _store_engine(tmp_path)
+        sizes = [_entry_size(eng, _plan_keys(app, n, 1)[0])
+                 for app, n in PLAN_WORKLOADS]
+        assert sizes == sorted(set(sizes))    # planned smallest first
+        tasks = [(key,) for app, n in PLAN_WORKLOADS
+                 for key in _plan_keys(app, n, 4)]
+        flat = [task for chunk in eng._chunk_tasks(tasks, workers=2)
+                for task in chunk]
+        sizes = [_entry_size(eng, task[0]) for task in flat]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] > sizes[-1]
+        # Equal costs keep submission order: same-workload tasks stay
+        # adjacent in the order they were planned.
+        assert [task for task in flat if task[0].app == "water_sp"] \
+            == [task for task in tasks if task[0].app == "water_sp"]
+
+    def test_every_task_exactly_once(self, tmp_path):
+        eng = _store_engine(tmp_path)
+        tasks = _mixed_tasks()
+        chunks = eng._chunk_tasks(tasks, workers=2)
+        flat = [task for chunk in chunks for task in chunk]
+        assert sorted(flat, key=repr) == sorted(tasks, key=repr)
+        assert len(flat) == len(set(flat)) == len(tasks)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_chunk_bounds_and_shrinking_cost(self, tmp_path, workers):
+        eng = _store_engine(tmp_path)
+        tasks = _mixed_tasks(n_per_workload=60)
+        chunks = eng._chunk_tasks(tasks, workers=workers)
+        assert all(1 <= len(chunk) <= 32 for chunk in chunks)
+        costs = [sum(_entry_size(eng, task[0]) * len(task)
+                     for task in chunk) for chunk in chunks]
+        assert all(later <= earlier
+                   for earlier, later in zip(costs, costs[1:]))
+        # Guided self-scheduling: the tail is single cheap tasks.
+        assert all(len(chunk) == 1 for chunk in chunks[-workers:])
+        assert any(len(chunk) > 1 for chunk in chunks)
+
+    def test_chunk_cap_of_32(self, tmp_path):
+        eng = _store_engine(tmp_path, workloads=PLAN_WORKLOADS[:1])
+        tasks = [(key,) for key in _plan_keys(*PLAN_WORKLOADS[0], 400)]
+        chunks = eng._chunk_tasks(tasks, workers=1)
+        assert max(len(chunk) for chunk in chunks) == 32
+
+    def test_pinned_chunk_size_is_fixed_in_cost_order(self, tmp_path):
+        eng = _store_engine(tmp_path, chunk_size=4)
+        tasks = _mixed_tasks()
+        chunks = eng._chunk_tasks(tasks, workers=2)
+        assert [len(chunk) for chunk in chunks[:-1]] \
+            == [4] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= 4
+        flat = [task for chunk in chunks for task in chunk]
+        costs = [_entry_size(eng, task[0]) * len(task) for task in flat]
+        assert costs == sorted(costs, reverse=True)
+
+    def test_missing_entries_take_median_without_loading(self, tmp_path,
+                                                         monkeypatch):
+        eng = _store_engine(tmp_path)
+        before = eng.store_counters()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cost estimate touched the store")
+
+        for name in ("load", "get_or_build", "ensure"):
+            monkeypatch.setattr(WorkloadStore, name, refuse)
+        known = [(_plan_keys(app, n, 1)[0],) for app, n in PLAN_WORKLOADS]
+        unbuilt = (_plan_keys("ocean", 2, 1)[0],)
+        tasks = known + [unbuilt]
+        affinity = [eng._affinity_key(task) for task in tasks]
+        costs = eng._task_costs(tasks, affinity)
+        sizes = sorted(_entry_size(eng, task[0]) for task in known)
+        assert _entry_size(eng, unbuilt[0]) is None
+        assert costs[-1] == sizes[1]          # the median known cost
+        assert costs[:-1] == [_entry_size(eng, task[0]) for task in known]
+        eng._chunk_tasks(tasks, workers=2)
+        assert eng.store_counters() == before
+
+    def test_bypassed_store_costs_one(self):
+        eng = ExperimentEngine(jobs=2, use_disk_cache=False)
+        tasks = [(KEY_A1,), (KEY_B1, KEY_B2)]
+        affinity = [eng._affinity_key(task) for task in tasks]
+        assert eng._task_costs(tasks, affinity) == [1.0, 1.0]
+
+
+class TestPoolPath:
+    def test_one_task_plan_runs_in_process(self, monkeypatch):
+        pytest.importorskip("numpy")
+        keys = _l_keys(Scheme.GLOBAL)
+        expect = ExperimentEngine(jobs=1, use_disk_cache=False,
+                                  vector=True).run_many(keys)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-task plan started a pool")
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", no_pool)
+        eng = ExperimentEngine(jobs=2, use_disk_cache=False, vector=True)
+        assert eng._plan_tasks(list(keys)) == [tuple(keys)]
+        assert eng.run_many(keys) == expect
+        streamed = ExperimentEngine(jobs=2, use_disk_cache=False,
+                                    vector=True).run_stream(keys)
+        assert streamed.results == expect and not streamed.failures
+        assert eng.pool_usage.offered_s == 0.0
+
+    def test_pool_usage_fraction(self):
+        eng = ExperimentEngine(jobs=2, use_disk_cache=False)
+        eng.run_many([KEY_A1, KEY_B1, KEY_A2])
+        usage = eng.pool_usage
+        assert usage.workers == 2
+        assert 0.0 < usage.fraction <= 1.0
+        assert usage.busy_s <= usage.offered_s
+        assert usage.describe().startswith("pool busy ")
 
 
 def _l_keys(scheme, fault=True, n=3):

@@ -44,6 +44,19 @@ class TestEngineFlags:
         assert "cluster" in out
         assert "overrides" in out
 
+    @pytest.mark.parametrize("jobs,printed", [("1", False), ("2", True)])
+    def test_profile_pool_busy_line(self, capsys, tmp_path, jobs, printed):
+        code = main(["fig6_1", "--quick", "--profile", "-j", jobs,
+                     "--cache-dir", str(tmp_path)])
+        assert code == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "pool busy" in line]
+        assert bool(lines) is printed
+        if printed:
+            # The verbose dispatch line and the --profile total.
+            assert lines[-1].startswith("[engine] pool busy ")
+            assert "(2 workers, " in lines[-1]
+
     def test_jobs_flag_parallel_run(self, capsys, tmp_path):
         code = main(["fig6_1", "--quick", "-j", "2",
                      "--cache-dir", str(tmp_path)])
