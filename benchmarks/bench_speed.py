@@ -11,7 +11,7 @@ populated content-addressed workload store (warm) — the build path the
 engine's pool workers take.  The ``vector`` section sweeps the
 replica-batch width of the vectorized campaign executor against
 scalar per-replica runs at two fault densities, with per-replica
-parity asserted (skipped without numpy).
+parity asserted.
 
 The ``lint`` section times the ``reprolint`` static analysis pass over
 the full shipped tree (parse + all six contract rules), so the
@@ -72,7 +72,7 @@ from repro.harness.workload_store import WorkloadStore
 from repro.params import MachineConfig, Scheme
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import Machine
-from repro.sim.vector import have_numpy, run_replica_batch
+from repro.sim.vector import run_replica_batch
 from repro.trace import TraceBuilder
 from repro.workloads import (
     PARSEC_APACHE,
@@ -616,8 +616,7 @@ def test_kernel_speed():
         total_instr += stats.total_instructions
     store = _measure_workload_store()
     memsys = _measure_memsys(matrix_stats)
-    vector = _measure_vector() if have_numpy() else {
-        "skipped": "numpy not installed"}
+    vector = _measure_vector()
     lint = _measure_lint()
     engine = _measure_engine()
     service = _measure_service()
@@ -663,19 +662,16 @@ def test_kernel_speed():
           f"{split['config']}: {split['slow_path']:.0f} -> "
           f"{split['fast_path']:.0f} ns/access "
           f"({split['speedup']:.2f}x)")
-    if "rows" in vector:
-        print(f"vector campaigns ({vector['app']} x{vector['n_cores']} "
-              f"{vector['scheme']}):")
-        for row in vector["rows"]:
-            print(f"  {row['density']:6s} N={row['width']:<3d} "
-                  f"scalar {row['scalar_wall_s']:7.3f}s  "
-                  f"vector {row['vector_wall_s']:7.3f}s  "
-                  f"{row['speedup']:5.2f}x "
-                  f"(spilled {row['spilled']}, direct "
-                  f"{row['direct_runs']}, served "
-                  f"{row['leader_served']})")
-    else:
-        print(f"vector campaigns: {vector['skipped']}")
+    print(f"vector campaigns ({vector['app']} x{vector['n_cores']} "
+          f"{vector['scheme']}):")
+    for row in vector["rows"]:
+        print(f"  {row['density']:6s} N={row['width']:<3d} "
+              f"scalar {row['scalar_wall_s']:7.3f}s  "
+              f"vector {row['vector_wall_s']:7.3f}s  "
+              f"{row['speedup']:5.2f}x "
+              f"(spilled {row['spilled']}, direct "
+              f"{row['direct_runs']}, served "
+              f"{row['leader_served']})")
     print(f"reprolint ({','.join(lint['rules'])}): "
           f"{lint['checked_files']} files in {lint['wall_s']:.3f}s "
           f"({lint['files_per_s']:,} files/s, "

@@ -10,7 +10,7 @@ module files.  ``from pkg import name`` adds an edge to ``pkg`` *and*
 to ``pkg/name`` when the latter is itself a module — the conservative
 reading: either object may carry simulation-relevant code.
 
-Imports of foreign packages (stdlib, numpy) are ignored: the fingerprint
+Imports of foreign packages (the stdlib) are ignored: the fingerprint
 contract only covers the package's own sources (the interpreter version
 baked into the fingerprint stands in for everything else).
 """

@@ -55,9 +55,8 @@ fault-detection time, producing bit-identical per-replica ``SimStats``.
 Results are memoized and disk-cached *per key*, exactly like scalar
 runs, so the cache format, the invariant harness and the campaign
 summaries see no difference.  ``REPRO_VECTOR=0`` (or ``--vector=off``
-mapped through the CLI's ``--no-vector``) forces the scalar path;
-without numpy the engine plans no batches and says so in a one-line
-warning.  Every planned task is a tuple of keys: a 1-tuple runs through
+mapped through the CLI's ``--no-vector``) forces the scalar path.
+Every planned task is a tuple of keys: a 1-tuple runs through
 ``execute_run``, a longer one through ``execute_batch``.
 
 Knobs (CLI flags on ``python -m repro.harness`` map onto the same
@@ -66,7 +65,7 @@ settings)::
     REPRO_JOBS        worker processes (default: os.cpu_count())
     REPRO_CACHE_DIR   result cache location (default: benchmarks/.cache)
     REPRO_NO_CACHE    set to 1 to bypass the disk cache entirely
-    REPRO_VECTOR      0 forces scalar campaign runs; unset/1 = auto
+    REPRO_VECTOR      0 forces scalar campaign runs; unset/1 = batches
     REPRO_CHUNK       tasks per dispatch chunk (default: cost-guided)
     REPRO_WORKER_LRU  per-process loaded-workload LRU size (default 16)
     REPRO_MMAP        0 forces copying workload loads; unset/1 = mmap
@@ -94,7 +93,6 @@ from repro.params import MachineConfig, Scheme, env_flag
 from repro.sim import SimStats
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import Machine
-from repro.sim.vector import have_numpy
 from repro.workloads import (
     get_workload,
     inject_output_io,
@@ -245,9 +243,10 @@ def execute_batch(keys: tuple[RunKey, ...],
     resolved config (``replica_configs``) — a detection-latency sweep
     under Global is served from one trace pass.  Returns the per-key
     stats in input order, bit-identical to what ``execute_run`` gives
-    each key.  Raises ``ImportError`` without numpy; the engine never
-    plans a batch then.
+    each key.
     """
+    # Looked up per call, so a wrapper installed on the module (the
+    # perfbench span recorder) sees every batch.
     from repro.sim.vector import run_replica_batch
 
     config = resolve_config(keys[0])
@@ -562,15 +561,9 @@ class ExperimentEngine:
             WorkloadStore(self.cache_dir / "workloads")
             if use_disk_cache else None)
         self.verbose = verbose
-        if vector is None:
-            vector = env_flag("REPRO_VECTOR", None)
-        #: The *request* (None = auto): distinguishes "user said no"
-        #: from "numpy is missing" for the fallback warning below.
-        self._vector_requested = vector
-        #: Whether replica batches actually go through the vector path.
-        self.vector = (vector if vector is not None else True) \
-            and have_numpy()
-        self._vector_warned = False
+        #: Whether replica batches go through the vector path.
+        self.vector = vector if vector is not None \
+            else env_flag("REPRO_VECTOR", True)
         self.memo: dict[RunKey, SimStats] = {}
         #: Wall-clock seconds per key *computed* this session (not cached).
         self.profile: dict[RunKey, float] = {}
@@ -774,30 +767,14 @@ class ExperimentEngine:
         of two or more.  A task sits at its first member's position in
         ``missing``, so serial execution keeps the submission order and
         a failing task never masks work listed before it.  With
-        vectorization off (or unavailable) every task is a 1-tuple; a
-        one-line warning fires once when batches *would* have formed
-        but numpy is missing and the user didn't opt out."""
+        vectorization off every task is a 1-tuple."""
+        if not self.vector:
+            return [(key,) for key in missing]
         groups: dict[tuple, list[RunKey]] = {}
         for key in missing:
             groups.setdefault(self._batch_key(key), []).append(key)
-        if not self.vector:
-            if (any(len(group) >= 2 for group in groups.values())
-                    and not have_numpy()
-                    and self._vector_requested is not False
-                    and not self._vector_warned):
-                self._vector_warned = True
-                print("  [engine] warning: numpy unavailable; campaign "
-                      "batches fall back to scalar runs "
-                      "(pip install repro[vector])", flush=True)
-            return [(key,) for key in missing]
-        tasks: list[tuple] = []
-        emitted: set = set()
-        for key in missing:
-            ident = self._batch_key(key)
-            if ident not in emitted:
-                emitted.add(ident)
-                tasks.append(tuple(groups[ident]))
-        return tasks
+        # dicts keep insertion order: each group at its first member.
+        return [tuple(group) for group in groups.values()]
 
     def _prepare_workloads(self, missing: list[RunKey]) -> None:
         """Prebuild each workload that several missing runs *share*.

@@ -5,12 +5,12 @@ that differ *only* in their fault plans — and a replica is bit-identical
 to every other until its first fault is detected.  The executor
 exploits exactly that: one fault-free **leader** machine walks the
 shared ``CompiledTrace`` ops/args columns once per batch, pausing at
-each replica's first fault-detection time (sorted ascending with
-numpy); at each pause the replica is **spilled** into a scalar
+each replica's first fault-detection time (sorted ascending); at
+each pause the replica is **spilled** into a scalar
 :class:`~repro.sim.machine.Machine` via :meth:`Machine.fork`, armed
 with its fault plan, and driven to completion by the ordinary scalar
 kernel.  Per-replica batch state (divergence clocks, fault counts,
-shared-prefix savings) lives in ``(N,)``-shaped numpy arrays; anything
+shared-prefix savings) lives in plain per-replica lists; anything
 divergence-heavy — rollbacks, cluster barriers, I/O injection after the
 spill — runs in the spilled scalar machine, so every replica's
 ``SimStats`` (including the exact cycle-bucket partition) is unchanged
@@ -53,6 +53,7 @@ exact-prefix-sharing optimization, not a sampling one.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -61,20 +62,10 @@ from repro.sim.machine import Machine
 from repro.sim.stats import SimStats
 from repro.workloads.base import WorkloadSpec
 
-try:  # numpy is an optional extra (``repro[vector]``)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-__all__ = ["have_numpy", "run_replica_batch", "BatchResult", "BatchReport"]
+__all__ = ["run_replica_batch", "BatchResult", "BatchReport"]
 
 #: A replica's faults: the plain ``(time, pid)`` list a RunKey carries.
 FaultList = Sequence[tuple[float, int]]
-
-
-def have_numpy() -> bool:
-    """True when the vectorized executor can run at all."""
-    return _np is not None
 
 
 #: Forking the leader copies the whole machine state, so a replica only
@@ -111,9 +102,6 @@ class BatchReport:
     #: re-executing per replica: sum of divergence prefixes minus the
     #: one leader walk that actually happened.
     shared_prefix_cycles: float = 0.0
-    #: Trace records of the shared workload, walked once per batch
-    #: (vs. once per replica scalar): op -> count over all threads.
-    record_histogram: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -127,18 +115,8 @@ class BatchResult:
 def _first_detect(faults: FaultList, detection_latency: float) -> float:
     """Detection time of a replica's earliest fault (inf if none)."""
     if not faults:
-        return float("inf")
-    return min(time for time, _pid in faults) + detection_latency
-
-
-def _record_histogram(workload: WorkloadSpec) -> dict[int, int]:
-    """Op histogram over every thread's columns — one numpy pass per
-    batch over the shared trace IR (``np.frombuffer`` views)."""
-    total = _np.zeros(8, dtype=_np.int64)
-    for trace in workload.traces:
-        ops, _args = trace.numpy_columns()
-        total += _np.bincount(ops, minlength=8)[:8]
-    return {op: int(count) for op, count in enumerate(total) if count}
+        return math.inf
+    return float(min(time for time, _pid in faults) + detection_latency)
 
 
 def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
@@ -171,13 +149,7 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     workload, faults=fault_lists[i]).run(max_cycles)``.  The caller
     (``ExperimentEngine._batch_key``) is responsible for only grouping
     configs whose differences are declared invariant.
-
-    Raises ``ImportError`` without numpy; the engine never plans a
-    batch then.
     """
-    if _np is None:
-        raise ImportError("numpy is required for the vectorized "
-                          "campaign executor (pip install repro[vector])")
     n = len(fault_lists)
     if n == 0:
         return BatchResult([], BatchReport())
@@ -192,19 +164,15 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
         return config if replica_configs is None \
             else replica_configs[index]
 
-    # -- batch schedule: (N,)-shaped replica state ----------------------
-    first_detect = _np.array([
-        _first_detect(faults, config_of(i).detection_latency)
-        for i, faults in enumerate(fault_lists)])
-    forced = _np.full(n, _np.inf)
-    if forced_spills is not None:
-        for i, at in enumerate(forced_spills):
-            if at is not None:
-                forced[i] = at
+    # -- batch schedule: per-replica state, one list entry each ---------
+    first_detect = [_first_detect(faults, config_of(i).detection_latency)
+                    for i, faults in enumerate(fault_lists)]
+    forced = [math.inf if forced_spills is None or forced_spills[i] is None
+              else float(forced_spills[i]) for i in range(n)]
     # A forced spill past the replica's first fault would fork a
     # machine whose fault already fired in the leader — clamp to the
     # fault: spilling *at* the detection time is the normal path.
-    divergence = _np.minimum(first_detect, forced)
+    divergence = [min(detect, at) for detect, at in zip(first_detect, forced)]
 
     # Cost model: a fork only pays when the shared prefix beats the
     # deep-copy.  Instruction counts lower-bound the run length (1-IPC
@@ -214,31 +182,31 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     run_estimate = max((trace.instruction_count()
                         for trace in workload.traces), default=1)
     threshold = SPILL_THRESHOLD_FRACTION * run_estimate
-    finite = _np.isfinite(divergence)
-    direct = finite & (divergence < threshold) & _np.isinf(forced)
+    finite = [math.isfinite(t) for t in divergence]
+    direct = [finite[i] and divergence[i] < threshold
+              and math.isinf(forced[i]) for i in range(n)]
 
-    report = BatchReport(width=n,
-                         divergence=[float(t) for t in divergence],
-                         record_histogram=_record_histogram(workload))
+    report = BatchReport(width=n, divergence=divergence)
     results: list[Optional[SimStats]] = [None] * n
 
-    for index in _np.nonzero(direct)[0]:
-        results[index] = Machine(config_of(index), workload,
-                                 faults=list(fault_lists[index])
-                                 ).run(max_cycles)
-        report.spilled += 1
-        report.direct_runs += 1
+    for index in range(n):
+        if direct[index]:
+            results[index] = Machine(config_of(index), workload,
+                                     faults=list(fault_lists[index])
+                                     ).run(max_cycles)
+            report.spilled += 1
+            report.direct_runs += 1
 
-    fork_order = [int(i) for i in _np.argsort(divergence, kind="stable")
-                  if finite[i] and not direct[i]]
-    served = [i for i in range(n)
-              if divergence[i] == float("inf")]
+    # ``sorted`` is stable: equal divergence times fork in batch order.
+    fork_order = sorted((i for i in range(n) if finite[i] and not direct[i]),
+                        key=divergence.__getitem__)
+    served = [i for i in range(n) if divergence[i] == math.inf]
     leader = None
     if fork_order or served:
         leader = Machine(config, workload)
         leader.start(max_cycles)
     for position, index in enumerate(fork_order):
-        at = float(divergence[index])
+        at = divergence[index]
         if not leader.finished:
             leader.advance(pause_at=at)
         # The last forked replica of a batch with nobody left to serve
@@ -284,8 +252,7 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
         walked = results[served[0]].runtime
         shared = forked_prefix + len(served) * walked - walked
     else:
-        walked = float(max((divergence[i] for i in fork_order),
-                           default=0.0))
+        walked = max((divergence[i] for i in fork_order), default=0.0)
         shared = forked_prefix - walked
     report.shared_prefix_cycles = max(0.0, shared)
     return BatchResult(list(results), report)

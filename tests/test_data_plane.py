@@ -97,15 +97,6 @@ class TestTraceFromBuffer:
         with pytest.raises(ValueError, match="unknown trace op"):
             CompiledTrace.from_buffer(bytes(blob))
 
-    def test_numpy_columns_over_view(self):
-        np = pytest.importorskip("numpy")
-        trace = _spec().traces[0]
-        view = CompiledTrace.from_buffer(trace.to_bytes())
-        vops, vargs = view.numpy_columns()
-        cops, cargs = trace.numpy_columns()
-        assert np.array_equal(vops, cops)
-        assert np.array_equal(vargs, cargs)
-
 
 class TestSpecFromBuffer:
     def test_spec_round_trip_parity(self):
@@ -448,7 +439,6 @@ class TestCostGuidedPlan:
 
 class TestPoolPath:
     def test_one_task_plan_runs_in_process(self, monkeypatch):
-        pytest.importorskip("numpy")
         keys = _l_keys(Scheme.GLOBAL)
         expect = ExperimentEngine(jobs=1, use_disk_cache=False,
                                   vector=True).run_many(keys)
@@ -507,14 +497,12 @@ class TestBatchWidening:
             != ExperimentEngine._batch_key(other)
 
     def test_plan_forms_one_batch_across_l(self):
-        pytest.importorskip("numpy")
         keys = _l_keys(Scheme.GLOBAL)
         eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
         tasks = eng._plan_tasks(list(keys))
         assert tasks == [tuple(keys)]        # one batch spanning all L
 
     def test_fig_l_sensitivity_plan_batches_span_all_l(self):
-        pytest.importorskip("numpy")
         from repro.harness.experiments import plan_fig_l_sensitivity
         from repro.harness.runner import Runner
         eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
@@ -533,7 +521,6 @@ class TestBatchWidening:
 
     @pytest.mark.parametrize("fault", [True, False])
     def test_widened_batch_parity(self, fault):
-        pytest.importorskip("numpy")
         keys = _l_keys(Scheme.GLOBAL, fault=fault)
         stats_list = execute_batch(tuple(keys))
         for key, stats in zip(keys, stats_list):
@@ -542,7 +529,6 @@ class TestBatchWidening:
             assert stats.config == resolve_config(key)
 
     def test_replica_configs_validation(self):
-        pytest.importorskip("numpy")
         from repro.sim.vector import run_replica_batch
         config = _config()
         spec = _spec(config=config)
@@ -551,7 +537,6 @@ class TestBatchWidening:
                               replica_configs=[config])
 
     def test_replica_configs_vector_parity(self):
-        pytest.importorskip("numpy")
         from repro.sim.vector import run_replica_batch
         base = _config()
         fault_at = 1.6 * base.checkpoint_interval

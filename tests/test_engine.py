@@ -189,7 +189,6 @@ class TestTaskShape:
     ``batch_width`` that ``--profile`` and the benchmark read)."""
 
     def test_plan_is_tuples_with_one_tuples_for_lone_keys(self):
-        pytest.importorskip("numpy")
         batch, lone = _shape_keys()
         keys = [lone[0], batch[0], lone[1], batch[1]]
         eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
@@ -203,7 +202,6 @@ class TestTaskShape:
     def test_every_computed_key_records_its_task_width(self):
         # Serial landing is covered by the vector-kernel engine test;
         # this drives the chunked worker dispatch.
-        pytest.importorskip("numpy")
         batch, lone = _shape_keys()
         eng = ExperimentEngine(jobs=2, use_disk_cache=False,
                                vector=True)
@@ -214,7 +212,6 @@ class TestTaskShape:
         assert all(eng.batch_width[key] == 1 for key in lone)
 
     def test_shares_of_a_task_sum_to_its_wall_time(self, monkeypatch):
-        pytest.importorskip("numpy")
         from types import SimpleNamespace
 
         clock = [0.0]

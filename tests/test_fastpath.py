@@ -30,12 +30,9 @@ from hypothesis import strategies as st
 from repro.params import MachineConfig, Scheme, env_flag
 from repro.sim.machine import Machine
 from repro.sim.stats import SimStats
-from repro.sim.vector import have_numpy, run_replica_batch
+from repro.sim.vector import run_replica_batch
 from repro.workloads import get_workload, inject_output_io
 from tests.invariants import assert_bucket_parity, assert_run_invariants
-
-needs_numpy = pytest.mark.skipif(not have_numpy(),
-                                 reason="numpy not installed")
 
 SCALE = 150
 INTERVALS = 1.8
@@ -134,7 +131,6 @@ def test_fastpath_survives_golden_coherence_check():
         assert_stats_identical(slow, fast, what="golden-checked")
 
 
-@needs_numpy
 def test_vector_batches_match_in_both_modes(monkeypatch):
     """The replica kernel (leader + forks) under REPRO_FASTPATH=0 and
     =1 produces identical stats — the batched counters are flushed on

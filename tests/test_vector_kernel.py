@@ -10,12 +10,16 @@ bit-identical to a scalar ``Machine.run`` of the same (config,
 workload, faults), for every registered scheme, with fault campaigns,
 output-I/O injection and cluster mode in the mix.  The engine-level
 grouping (``ExperimentEngine`` batching same-workload RunKeys) is held
-to the same standard, and both ways of turning batching off (no numpy,
-``REPRO_VECTOR=0``) must land on the scalar path producing the same
-results.
+to the same standard, and turning batching off (``REPRO_VECTOR=0``)
+must land on the scalar path producing the same results.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -28,12 +32,9 @@ from repro.params import MachineConfig, Scheme
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import Machine
 from repro.sim.stats import CampaignSummary, percentile
-from repro.sim.vector import have_numpy, run_replica_batch
+from repro.sim.vector import run_replica_batch
 from repro.workloads import get_workload, inject_output_io
 from tests.invariants import assert_bucket_parity, assert_run_invariants
-
-needs_numpy = pytest.mark.skipif(not have_numpy(),
-                                 reason="numpy not installed")
 
 SCALE = 150
 INTERVALS = 1.8
@@ -102,7 +103,6 @@ MATRIX = [
 ]
 
 
-@needs_numpy
 @pytest.mark.parametrize("scheme,n_cores,io_frac,cluster,with_faults",
                          MATRIX,
                          ids=lambda v: getattr(v, "value", str(v)))
@@ -118,13 +118,11 @@ def test_batch_matches_scalar(scheme, n_cores, io_frac, cluster,
     assert result.report.spilled + result.report.leader_served \
         == len(fault_lists)
     assert result.report.shared_prefix_cycles >= 0.0
-    assert result.report.record_histogram  # the once-per-batch column walk
     for stats, faults in zip(result.stats, fault_lists):
         assert_run_invariants(stats)
         assert_stats_equal(_scalar(config, spec, faults), stats)
 
 
-@needs_numpy
 def test_leader_served_replicas_do_not_alias():
     """Two fault-free replicas in one batch get equal but *distinct*
     SimStats — the engine memoizes per key, so shared mutable stats
@@ -140,7 +138,6 @@ def test_leader_served_replicas_do_not_alias():
     assert result.report.spilled == 0
 
 
-@needs_numpy
 def test_forced_spill_is_unobservable():
     """A replica forced out of the leader early (mid-interval, long
     before any fault is due) must still report identical stats."""
@@ -155,7 +152,6 @@ def test_forced_spill_is_unobservable():
     assert_stats_equal(_scalar(config, spec, []), result.stats[1])
 
 
-@needs_numpy
 def test_early_divergence_runs_direct():
     """A replica whose fault lands before the fork threshold skips the
     leader entirely (standalone scalar run) — cheaper than a fork whose
@@ -205,7 +201,6 @@ def _hyp_fixture():
     return _HYP_SPEC
 
 
-@needs_numpy
 @given(st.lists(st.one_of(st.none(), st.floats(0.0, INTERVALS)),
                 min_size=3, max_size=3))
 @settings(max_examples=12, deadline=None)
@@ -222,7 +217,7 @@ def test_random_forced_spills_preserve_parity(spill_fractions):
         assert_stats_equal(_HYP_SCALAR[i], stats)
 
 
-# -- fallback edges ---------------------------------------------------------
+# -- engine-level batching --------------------------------------------------
 
 def _engine_keys(n_plans=3):
     keys = [RunKey(app=APP, n_cores=4, scheme=Scheme.REBOUND,
@@ -235,27 +230,6 @@ def _engine_keys(n_plans=3):
     return keys
 
 
-def test_engine_without_numpy_warns_and_matches(monkeypatch, capsys):
-    import repro.sim.vector as vector
-    monkeypatch.delenv("REPRO_VECTOR", raising=False)  # auto mode
-    monkeypatch.setattr(vector, "_np", None)
-    assert not have_numpy()
-    engine = ExperimentEngine(jobs=1, use_disk_cache=False)
-    assert not engine.vector
-    keys = _engine_keys()
-    results = engine.run_many(keys)
-    assert "numpy unavailable" in capsys.readouterr().out
-    for key in keys:
-        assert_run_invariants(results[key])
-    # An explicit opt-out must stay silent.
-    quiet = ExperimentEngine(jobs=1, use_disk_cache=False, vector=False)
-    quiet.run_many(keys)
-    assert "numpy unavailable" not in capsys.readouterr().out
-
-
-# -- engine-level batching --------------------------------------------------
-
-@needs_numpy
 def test_engine_batches_match_scalar_engine(monkeypatch):
     keys = _engine_keys()
     vec = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
@@ -272,12 +246,38 @@ def test_engine_batches_match_scalar_engine(monkeypatch):
     # memoization still returns the same objects on re-request
     again = vec.run_many(keys)
     assert all(again[key] is res_v[key] for key in keys)
-    # REPRO_VECTOR=0 disables batching; unset means auto
+    # REPRO_VECTOR=0 disables batching; unset means on
     monkeypatch.setenv("REPRO_VECTOR", "0")
     assert not ExperimentEngine(jobs=1, use_disk_cache=False).vector
     monkeypatch.delenv("REPRO_VECTOR")
-    assert ExperimentEngine(jobs=1, use_disk_cache=False).vector \
-        == have_numpy()
+    assert ExperimentEngine(jobs=1, use_disk_cache=False).vector
+
+
+def test_cli_and_batch_import_only_the_standard_library():
+    """A fresh interpreter that imports the CLI and runs one two-replica
+    batch (one faulted, one fault-free) never imports numpy: every
+    process of a campaign stays free of its start-up time and memory."""
+    script = textwrap.dedent(f"""
+        import dataclasses
+        import sys
+
+        import repro.harness.__main__
+        from repro.harness.engine import RunKey, execute_batch, resolve_config
+        from repro.params import Scheme
+        from repro.sim.faults import FaultPlan
+
+        base = RunKey(app={APP!r}, n_cores=4, scheme=Scheme.REBOUND,
+                      intervals={INTERVALS!r}, seed=1, scale={SCALE!r})
+        at = 1.2 * resolve_config(base).checkpoint_interval
+        faulted = dataclasses.replace(
+            base, fault_plan=FaultPlan(faults=((at, 1),)))
+        stats = execute_batch((faulted, base))
+        assert len(stats) == 2 and stats[0].injected_faults, stats
+        assert "numpy" not in sys.modules, "numpy was imported"
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 # -- satellite micro-asserts ------------------------------------------------
